@@ -143,7 +143,7 @@ def _cmd_flow(args) -> None:
 
 def _cmd_witness(args) -> None:
     g = _load_graph(args)
-    w = solver.unsolvable_witness(g, args.target, args.size)
+    w = solver.find_unsolvable(g, args.target, 1, args.size)
     if w is None:
         _emit(args, "none")
     else:

@@ -168,6 +168,6 @@ def config_from_json(text: str, vertex_count: int) -> Config:
     values = json.loads(text)
     if not isinstance(values, list) or len(values) != vertex_count:
         raise PebblingError("JSON configuration must be a list of length n")
-    if any(not isinstance(x, int) or x < 0 for x in values):
+    if any(type(x) is not int or x < 0 for x in values):  # bool is an int
         raise PebblingError("pebble counts must be non-negative integers")
     return tuple(values)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .configs import Config, config_from_text, config_to_text
 from .errors import PebblingError
 from .graphs import Graph, bfs_distances
-from .solver import Step, apply_step
+from .solver import Step, _check_instance, _greedy_steps, _potential, apply_step
 
 FlowMap = dict[tuple[int, int], int]
 
@@ -160,37 +160,6 @@ def flow_from_text(g: Graph, text: str) -> PebbleFlow:
     return PebbleFlow(g, c, flow)
 
 
-def _greedy_steps(g: Graph, c: Config, t: int, n: int):
-    """Heuristic witness search: repeatedly take the most expensive occupied
-    vertex and fire a loss-free edge (cost(u) = weight * cost(head)) toward
-    the cheapest head whose weight its pebbles can pay.  Complete on graphs
-    where concentrating along cheapest paths suffices; else returns None."""
-    cost = g.cost_to(t)
-    work = list(c)
-    steps: list[Step] = []
-    while work[t] < n:
-        candidates = []
-        for u in range(g.vertex_count):
-            if u == t or not work[u] or cost[u] is None:
-                continue
-            moves = [
-                (cost[v], v, w)
-                for _, v, w in g.out_edges[u]
-                if cost[v] is not None
-                and cost[u] == w * cost[v]
-                and work[u] >= w
-            ]
-            if moves:
-                candidates.append((cost[u], u, min(moves)))
-        if not candidates:
-            return None
-        _, u, (_, v, w) = max(candidates)
-        work[u] -= w
-        work[v] += 1
-        steps.append((u, v))
-    return tuple(steps)
-
-
 def _lp_infeasible(g: Graph, c: Config, t: int, n: int, caps) -> bool:
     """Root LP-relaxation prune: maximize fractional x(t) under x >= 0 and
     the per-edge caps; a maximum below n proves integer infeasibility."""
@@ -232,26 +201,23 @@ def solve_via_flow(
     """Find a feasible flow with excess at least n on t, or prove there is
     none; this decides n-fold t-solvability exactly.
 
-    A greedy step simulation supplies most positive answers; the complete
+    The greedy concentration shared with the configuration search
+    (``solver._greedy_steps``) supplies most positive answers; the complete
     fallback is depth-first branch and bound over per-edge counts, edges
     ordered by the head's distance to t and values tried descending.
     """
-    if n < 0 or not 0 <= t < g.vertex_count:
-        raise PebblingError("need n >= 0 and a valid target vertex")
+    _check_instance(g, c, t, n)
     if c[t] >= n:
         return PebbleFlow(g, c, {})
-    total = sum(c)
-    cost = g.cost_to(t)
-    potential = sum(
-        Fraction(x, cv) for x, cv in zip(c, cost) if x and cv is not None
-    )
-    if potential < n:
+    scale, _ = g.potential_weights(t)
+    if _potential(g, c, t) < n * scale:
         return None
 
     steps = _greedy_steps(g, c, t, n)
     if steps is not None:
         return flow_from_steps(g, c, steps)
 
+    total = sum(c)
     dist = bfs_distances(g, t)
     order = sorted(
         range(len(g.edges)),

@@ -9,6 +9,7 @@ preimage" representative used by configuration pullback.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -76,9 +77,6 @@ class Graph:
         weights along a directed path to ``t``.  ``cost[v]`` pebbles on v
         suffice to move one pebble to t; ``None`` marks vertices that
         cannot reach t at all."""
-        return self._cost_cache(t)
-
-    def _cost_cache(self, t: int):
         cache = self.__dict__.setdefault("_costs", {})
         if t not in cache:
             cost: list[int | None] = [None] * self.vertex_count
@@ -92,6 +90,17 @@ class Graph:
                     if cost[u] is None:
                         heapq.heappush(heap, (d * w, u))
             cache[t] = tuple(cost)
+        return cache[t]
+
+    def potential_weights(self, t: int) -> tuple[int, tuple[int, ...]]:
+        """Integer weights of the potential sum c(v)/cost(v): the scale L,
+        the lcm of the finite costs to ``t``, and L // cost(v) per vertex
+        (0 where ``t`` is unreachable)."""
+        cache = self.__dict__.setdefault("_potential_weights", {})
+        if t not in cache:
+            cost = self.cost_to(t)
+            scale = math.lcm(*(cv for cv in cost if cv is not None))
+            cache[t] = scale, tuple(0 if cv is None else scale // cv for cv in cost)
         return cache[t]
 
     def to_text(self) -> str:

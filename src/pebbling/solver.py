@@ -9,9 +9,15 @@ avoid most searches:
 * sufficient: vertices can independently deliver floor(c(v)/cost(v))
   pebbles to the target, where cost(v) is the cheapest product of edge
   weights along a path to the target;
-* necessary: the fractional potential sum(c(v)/cost(v)) never increases
-  under a pebbling step, so a configuration with potential below n is not
-  n-fold solvable.
+* necessary: the potential sum(c(v)/cost(v)) never increases under a
+  pebbling step, so a configuration with potential below n is not n-fold
+  solvable.  It is kept as an integer scaled by L, the lcm of the costs:
+  sum(c(v) * (L // cost(v))) is compared against n * L, and one step on
+  (u, v) changes it by a fixed amount, so the search updates it in O(1).
+
+Positive answers carry a step list that replays to the reported final
+configuration; the greedy concentration in ``_greedy_steps`` supplies most
+of them, here and in ``flows.solve_via_flow``.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import configs
 from .configs import Config, enumerate_configs, reduced_size, support_count
@@ -56,6 +61,19 @@ def replay(g: Graph, c: Config, steps) -> Config:
     return c
 
 
+def _check_instance(g: Graph, c: Config | None, t: int, n: int) -> None:
+    """Reject a target that is not a vertex, a negative n, or a
+    configuration whose length is not the vertex count."""
+    if not 0 <= t < g.vertex_count:
+        raise PebblingError(f"target {t} is not a vertex (0..{g.vertex_count - 1})")
+    if n < 0:
+        raise PebblingError(f"need n >= 0, got {n}")
+    if c is not None and len(c) != g.vertex_count:
+        raise PebblingError(
+            f"configuration has {len(c)} entries for {g.vertex_count} vertices"
+        )
+
+
 def _deliverable(g: Graph, c: Config, t: int) -> int:
     """Lower bound for pebbles movable to t: independent greedy delivery."""
     cost = g.cost_to(t)
@@ -66,16 +84,42 @@ def _deliverable(g: Graph, c: Config, t: int) -> int:
     return total
 
 
-def _potential(g: Graph, c: Config, t: int) -> Fraction:
-    """Upper bound: sum c(v)/cost(v), non-increasing under pebbling steps."""
+def _potential(g: Graph, c: Config, t: int) -> int:
+    """L * sum c(v)/cost(v), L as in ``Graph.potential_weights``; compare
+    against n * L.  Non-increasing under pebbling steps."""
+    _, weight = g.potential_weights(t)
+    return sum(x * w for x, w in zip(c, weight))
+
+
+def _greedy_steps(g: Graph, c: Config, t: int, n: int) -> tuple[Step, ...] | None:
+    """Heuristic witness search: repeatedly take the most expensive occupied
+    vertex and fire a loss-free edge (cost(u) = weight * cost(head)) toward
+    the cheapest head whose weight its pebbles can pay.  Complete on graphs
+    where concentrating along cheapest paths suffices; else returns None."""
     cost = g.cost_to(t)
-    total = Fraction(0)
-    for v, x in enumerate(c):
-        if x:
-            if cost[v] is None:
+    work = list(c)
+    steps: list[Step] = []
+    while work[t] < n:
+        candidates = []
+        for u in range(g.vertex_count):
+            if u == t or not work[u] or cost[u] is None:
                 continue
-            total += Fraction(x, cost[v])
-    return total
+            moves = [
+                (cost[v], v, w)
+                for _, v, w in g.out_edges[u]
+                if cost[v] is not None
+                and cost[u] == w * cost[v]
+                and work[u] >= w
+            ]
+            if moves:
+                candidates.append((cost[u], u, min(moves)))
+        if not candidates:
+            return None
+        _, u, (_, v, w) = max(candidates)
+        work[u] -= w
+        work[v] += 1
+        steps.append((u, v))
+    return tuple(steps)
 
 
 def solvable_quick(g: Graph, c: Config, t: int, n: int) -> bool | None:
@@ -84,7 +128,8 @@ def solvable_quick(g: Graph, c: Config, t: int, n: int) -> bool | None:
         return True
     if _deliverable(g, c, t) >= n:
         return True
-    if _potential(g, c, t) < n:
+    scale, _ = g.potential_weights(t)
+    if _potential(g, c, t) < n * scale:
         return False
     return None
 
@@ -92,24 +137,29 @@ def solvable_quick(g: Graph, c: Config, t: int, n: int) -> bool | None:
 def is_solvable(g: Graph, c: Config, t: int, n: int) -> SolveResult:
     """Complete decision of n-fold t-solvability with a replayable witness.
 
-    Steps are explored in (from, to) sorted edge order, so the first
+    The greedy concentration answers first when it succeeds; otherwise
+    steps are explored in (from, to) sorted edge order, so the first
     witness found is deterministic.
     """
-    if n < 0 or not 0 <= t < g.vertex_count:
-        raise PebblingError("need n >= 0 and a valid target vertex")
+    _check_instance(g, c, t, n)
     if c[t] >= n:
         return SolveResult(True, (), c)
-    if _potential(g, c, t) < n:
+    scale, weight = g.potential_weights(t)
+    bound = n * scale
+    pot = _potential(g, c, t)
+    if pot < bound:
         return SolveResult(False)
-    edges = g.edges
-    cost = g.cost_to(t)
+    steps = _greedy_steps(g, c, t, n)
+    if steps is not None:
+        return SolveResult(True, steps, replay(g, c, steps))
+    # Each edge with the fixed amount its step takes off the potential.
+    edges = [(u, v, w, w * weight[u] - weight[v]) for u, v, w in g.edges]
     failed: set[Config] = set()
 
-    def search(conf: Config):
-        # Sufficient bound: finish greedily along cheapest paths.
+    def search(conf: Config, pot: int):
         if conf[t] >= n:
             return (), conf
-        for u, v, w in edges:
+        for u, v, w, drop in edges:
             if conf[u] >= w:
                 nxt = list(conf)
                 nxt[u] -= w
@@ -118,83 +168,28 @@ def is_solvable(g: Graph, c: Config, t: int, n: int) -> SolveResult:
                 if nxt in failed:
                     continue
                 # Potential prune before descending.
-                pot = Fraction(0)
-                ok = True
-                for x, cv in zip(nxt, cost):
-                    if x:
-                        if cv is not None:
-                            pot += Fraction(x, cv)
-                if pot < n:
-                    ok = False
-                if ok:
-                    sub = search(nxt)
+                if pot - drop >= bound:
+                    sub = search(nxt, pot - drop)
                     if sub is not None:
                         steps, final = sub
                         return ((u, v),) + steps, final
                 failed.add(nxt)
         return None
 
-    # Greedy witness fast path: deliver from single vertices along cheapest
-    # paths, which also yields a legal witness.
-    if _deliverable(g, c, t) >= n:
-        steps = _greedy_witness(g, c, t, n)
-        if steps is not None:
-            return SolveResult(True, steps, replay(g, c, steps))
-    hit = search(c)
+    hit = search(c, pot)
     if hit is None:
         return SolveResult(False)
     steps, final = hit
     return SolveResult(True, steps, final)
 
 
-def _cheapest_path(g: Graph, v: int, t: int) -> list[Step] | None:
-    """Edge list of a minimum-cost directed path from v to t."""
-    cost = g.cost_to(t)
-    if cost[v] is None:
-        return None
-    path = []
-    while v != t:
-        nxt = min(
-            ((w * cost[y], y) for _, y, w in g.out_edges[v] if cost[y] is not None),
-            default=None,
-        )
-        if nxt is None or nxt[0] != cost[v]:
-            # Tie-broken walk failed (should not happen on exact costs).
-            return None
-        path.append((v, nxt[1]))
-        v = nxt[1]
-    return path
-
-
-def _greedy_witness(g: Graph, c: Config, t: int, n: int):
-    cost = g.cost_to(t)
-    work = list(c)
-    steps: list[Step] = []
-    for v in sorted(range(g.vertex_count), key=lambda v: (cost[v] or 0, v)):
-        if work[t] >= n:
-            break
-        if v == t or not work[v] or cost[v] is None:
-            continue
-        path = _cheapest_path(g, v, t)
-        if path is None:
-            continue
-        k = work[v] // cost[v]
-        if k == 0:
-            continue
-        # Move k pebbles from v to t along the cheapest path, batch by batch.
-        carry = k * cost[v]
-        work[v] -= carry
-        cur = v
-        for u, x in path:
-            w = g.weight(u, x)
-            moves = carry // w
-            steps.extend([(u, x)] * moves)
-            carry = moves
-            cur = x
-        work[t] += carry
-    if work[t] >= n:
-        return tuple(steps)
-    return None
+def _unsolvable(g: Graph, c: Config, t: int, n: int) -> bool:
+    """Exact decision: the quick bounds, then the search only when they
+    give no answer."""
+    quick = solvable_quick(g, c, t, n)
+    if quick is None:
+        return not is_solvable(g, c, t, n)
+    return not quick
 
 
 @dataclass(frozen=True)
@@ -229,9 +224,7 @@ def _structured_witness(g: Graph, t: int, n: int, p: int) -> Config | None:
         counts = [0] * nv
         counts[v] = p
         c = tuple(counts)
-        if solvable_quick(g, c, t, n) is False:
-            return c
-        if solvable_quick(g, c, t, n) is None and not is_solvable(g, c, t, n):
+        if _unsolvable(g, c, t, n):
             return c
     for v in range(nv):
         for u in range(v + 1, nv):
@@ -240,27 +233,18 @@ def _structured_witness(g: Graph, t: int, n: int, p: int) -> Config | None:
                 counts[v] = a
                 counts[u] = p - a
                 c = tuple(counts)
-                quick = solvable_quick(g, c, t, n)
-                if quick is False:
-                    return c
-                if quick is None and not is_solvable(g, c, t, n):
+                if _unsolvable(g, c, t, n):
                     return c
     return None
 
 
 def _scan_chunk(args):
     g, t, n, p, first = args
-    nv = g.vertex_count
-    best = None
-    for rest in enumerate_configs(nv - 1, p - first):
+    for rest in enumerate_configs(g.vertex_count - 1, p - first):
         c = (first,) + rest
-        quick = solvable_quick(g, c, t, n)
-        if quick is True:
-            continue
-        if quick is False or not is_solvable(g, c, t, n):
-            best = c
-            break
-    return best
+        if _unsolvable(g, c, t, n):
+            return c
+    return None
 
 
 def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config | None:
@@ -270,6 +254,7 @@ def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config |
     pre-pass misses, the lexicographically smallest witness of the full
     scan is returned.
     """
+    _check_instance(g, None, t, n)
     w = _singleton_witness(g, t, n, p)
     if w is not None:
         return w
@@ -306,6 +291,7 @@ def pebbling_number(
     Solvability is monotone in the configuration, so checking size exactly
     p suffices for all larger sizes.
     """
+    _check_instance(g, None, t, n)
     if n < 1:
         raise PebblingError("need n >= 1")
     cost = g.cost_to(t)
@@ -316,7 +302,7 @@ def pebbling_number(
     p = g.vertex_count + n - 1
     witness = _singleton_witness(g, t, n, p - 1)
     if g.vertex_count == 1:
-        return PebblingNumber(n, (n - 1,) if n > 1 else ((0,) if n == 1 else None))
+        return PebblingNumber(n, (n - 1,))
     while True:
         if p > cap:
             raise SearchCapExceeded(f"pebbling number search passed cap {cap}")
@@ -333,11 +319,6 @@ def pebbling_number_graph(g: Graph, jobs: int = 1, size_cap: int | None = None) 
         pebbling_number(g, t, 1, jobs=jobs, size_cap=size_cap).value
         for t in range(g.vertex_count)
     )
-
-
-def unsolvable_witness(g: Graph, t: int, p: int) -> Config | None:
-    """A size-p configuration that is not t-solvable, or None."""
-    return find_unsolvable(g, t, 1, p)
 
 
 def _odd_count(c: Config) -> int:
@@ -369,10 +350,7 @@ def has_2pp(g: Graph, pi: int, variant: str = "support", jobs: int = 1):
             if s < 2 * pi - q + 1:
                 continue
             for t in range(nv):
-                quick = solvable_quick(g, c, t, 2)
-                if quick is True:
-                    continue
-                if quick is False or not is_solvable(g, c, t, 2):
+                if _unsolvable(g, c, t, 2):
                     return False, (c, t)
     return True, None
 
@@ -399,7 +377,6 @@ def _tau_subconfig_exists(
     for v in range(g.vertex_count):
         if v == t or cost[v] is None:
             continue
-        need = (n - need_t) * cost[v]
         for use_t in (need_t, 0):
             amount = (n - use_t) * cost[v]
             if c[v] >= amount:
@@ -449,8 +426,9 @@ def verify_tau(
     every configuration c with |c| = p - s#(c) + 1 + m there must be an
     n-fold t-solvable subconfiguration whose residual keeps k-reduced size
     at least m.  A True result certifies the bound up to m_max only."""
-    if m_max < 0 or k < 1 or n < 0:
-        raise PebblingError("need m_max >= 0, k >= 1, n >= 0")
+    _check_instance(g, None, t, n)
+    if m_max < 0 or k < 1:
+        raise PebblingError("need m_max >= 0, k >= 1")
     nv = g.vertex_count
     memo: dict = {}
     for m in range(m_max + 1):
@@ -471,9 +449,6 @@ def optimal_pebbling_number(g: Graph, size_cap: int | None = None):
     targets = range(g.vertex_count)
     for s in range(0, cap + 1):
         for c in enumerate_configs(g.vertex_count, s):
-            if all(
-                solvable_quick(g, c, t, 1) is True or is_solvable(g, c, t, 1)
-                for t in targets
-            ):
+            if not any(_unsolvable(g, c, t, 1) for t in targets):
                 return s, c
     raise SearchCapExceeded(f"optimal pebbling search passed cap {cap}")

@@ -21,8 +21,6 @@ from .errors import PebblingError
 from .graphs import Graph, bfs_distances
 from .solver import Step
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class WeightFunction:

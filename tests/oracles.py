@@ -54,26 +54,32 @@ def tree_pi_oracle(g: Graph, r: int, k: int, n: int) -> int:
     count at r is at most n - 1."""
     children = tree_children(g, r)
 
-    @lru_cache(maxsize=None)
-    def grow(v: int, budget: int) -> int:
-        # Max pebbles in v's subtree with deliverable(v) <= budget.  Each
-        # child contributes floor(deliverable/k) = j to v's budget while
-        # holding up to grow(child, j*k + k - 1) pebbles.
-        best_by_spend = [0]
-        for ch in children[v]:
-            nxt = [0] * (budget + 1)
-            for spent in range(min(budget, len(best_by_spend) - 1) + 1):
-                for j in range(budget - spent + 1):
-                    gain = best_by_spend[spent] + grow(ch, j * k + k - 1)
-                    if gain > nxt[spent + j]:
-                        nxt[spent + j] = gain
-            best_by_spend = nxt
-        return max(
-            (budget - s) + best_by_spend[s]
-            for s in range(min(budget, len(best_by_spend) - 1) + 1)
-        )
+    def shape(v: int) -> tuple:
+        return tuple(sorted(shape(ch) for ch in children[v]))
 
-    return grow(r, n - 1) + 1
+    return _grow(shape(r), k, n - 1) + 1
+
+
+@lru_cache(maxsize=None)
+def _grow(shape: tuple, k: int, budget: int) -> int:
+    """Max pebbles in a rooted subtree of this shape (the sorted tuple of
+    its children's shapes) with deliverable(root) <= budget.  Each child
+    contributes floor(deliverable/k) = j to the root's budget while holding
+    up to _grow(child, k, j*k + k - 1) pebbles.  Labels never matter, so
+    the memo is shared by every labeled tree."""
+    best_by_spend = [0]
+    for ch in shape:
+        nxt = [0] * (budget + 1)
+        for spent in range(min(budget, len(best_by_spend) - 1) + 1):
+            for j in range(budget - spent + 1):
+                gain = best_by_spend[spent] + _grow(ch, k, j * k + k - 1)
+                if gain > nxt[spent + j]:
+                    nxt[spent + j] = gain
+        best_by_spend = nxt
+    return max(
+        (budget - s) + best_by_spend[s]
+        for s in range(min(budget, len(best_by_spend) - 1) + 1)
+    )
 
 
 def labeled_trees(nv: int, k: int):

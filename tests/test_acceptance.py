@@ -39,11 +39,11 @@ from pebbling.graphs import (
 )
 from pebbling.smv import emit_pebbling_model
 from pebbling.solver import (
+    find_unsolvable,
     has_2pp,
     is_solvable,
     pebbling_number,
     pebbling_number_graph,
-    unsolvable_witness,
     verify_tau,
 )
 from pebbling.weights import covering_bound, cycle_weight_functions, lp_bound
@@ -126,7 +126,7 @@ def test_09_divisor_lattices():
         for n in range(2, 13):
             g = divisor_lattice(n)
             t = g.labels.index(n)
-            assert unsolvable_witness(g, t, n) is None  # pi(D_n, n) <= n
+            assert find_unsolvable(g, t, 1, n) is None  # pi(D_n, n) <= n
 
 
 def test_10_lemke_lacks_2pp():

@@ -176,6 +176,17 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and err.startswith("error:")
 
 
+def test_target_outside_graph_exits_1(capsys):
+    for argv in (
+        ["pi", "--target", "9"],
+        ["witness", "--target", "3", "--size", "2"],
+        ["tau", "--target", "9", "--n", "1", "--k", "2", "--p", "3", "--m-max", "1"],
+    ):
+        code, out, err = run(capsys, *argv, "--family", "path:3:2")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["pi", "--target", "0"])  # no graph source

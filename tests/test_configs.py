@@ -149,3 +149,9 @@ def test_json_and_pairs():
     assert config_from_pairs(3, [(0, 1), (0, 2)]) == (3, 0, 0)
     with pytest.raises(PebblingError):
         config_from_pairs(2, [(5, 1)])
+
+
+def test_json_rejects_booleans():
+    # bool is a subclass of int, but true is not a pebble count.
+    with pytest.raises(PebblingError):
+        config_from_json("[true, 0, 0]", 3)

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pebbling.configs import enumerate_configs
 from pebbling.errors import PebblingError
+from pebbling.flows import solve_via_flow
 from pebbling.formulas import pi_complete
 from pebbling.graphs import (
     Graph,
@@ -15,14 +17,15 @@ from pebbling.graphs import (
     star_graph,
 )
 from pebbling.solver import (
+    _greedy_steps,
     apply_step,
+    find_unsolvable,
     has_2pp,
     is_solvable,
     optimal_pebbling_number,
     pebbling_number,
     pebbling_number_graph,
     replay,
-    unsolvable_witness,
     verify_tau,
 )
 from oracles import random_config, random_connected_graph
@@ -120,10 +123,10 @@ def test_lower_bound_all_singletons():
 
 
 def test_unsolvable_witness():
-    w = unsolvable_witness(cycle_graph(6), 0, 7)
+    w = find_unsolvable(cycle_graph(6), 0, 1, 7)
     assert w is not None and sum(w) == 7
     assert not is_solvable(cycle_graph(6), w, 0, 1).solvable
-    assert unsolvable_witness(path_graph(2), 0, 2) is None
+    assert find_unsolvable(path_graph(2), 0, 1, 2) is None
 
 
 def test_has_2pp_trivial_and_small():
@@ -162,3 +165,57 @@ def test_solvability_monotone_under_adding_pebbles(data):
         v = rng.randrange(g.vertex_count)
         bigger = tuple(x + (1 if i == v else 0) for i, x in enumerate(c))
         assert is_solvable(g, bigger, t, 1).solvable
+
+
+def test_bad_instances_raise():
+    with pytest.raises(PebblingError):
+        is_solvable(path_graph(3), (1, 2), 0, 1)  # configuration too short
+    with pytest.raises(PebblingError):
+        is_solvable(path_graph(3), (1, 2, 0), 3, 1)
+    with pytest.raises(PebblingError):
+        solve_via_flow(path_graph(3), (1, 2, 0, 0), 0, 1)
+    with pytest.raises(PebblingError):
+        pebbling_number(path_graph(3), 9)
+
+
+def test_deep_witness_replays():
+    # Every witness takes about 3m steps, deeper than the recursion limit;
+    # the greedy concentration finds one without searching.
+    m = 600
+    g = path_graph(3)
+    c = (4 * m + 3, 1, 0)
+    out = is_solvable(g, c, 2, m + 1)
+    assert out.solvable and len(out.witness) >= 3 * m
+    assert replay(g, c, out.witness) == out.final and out.final[2] >= m + 1
+
+
+@st.composite
+def undecided_instances(draw):
+    """A random digraph on 2-5 vertices with weights 2-5, a configuration
+    of up to 60 pebbles, and n above what independent delivery reaches but
+    not above the potential, so neither quick bound decides."""
+    nv = draw(st.integers(2, 5))
+    pairs = [(u, v) for u in range(nv) for v in range(nv) if u != v]
+    weights = draw(
+        st.lists(st.sampled_from((0, 2, 3, 4, 5)), min_size=len(pairs), max_size=len(pairs))
+    )
+    g = Graph(nv, tuple((u, v, w) for (u, v), w in zip(pairs, weights) if w))
+    c = tuple(draw(st.lists(st.integers(0, 12), min_size=nv, max_size=nv)))
+    t = draw(st.integers(0, nv - 1))
+    cost = g.cost_to(t)
+    lo = 1 + sum(x // cv for x, cv in zip(c, cost) if cv)
+    hi = int(sum(Fraction(x, cv) for x, cv in zip(c, cost) if cv))
+    return g, c, t, draw(st.integers(lo, max(lo, hi)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(undecided_instances())
+def test_greedy_replays_and_deciders_agree(instance):
+    g, c, t, n = instance
+    steps = _greedy_steps(g, c, t, n)
+    if steps is not None:
+        assert replay(g, c, steps)[t] >= n
+    out = is_solvable(g, c, t, n)
+    assert out.solvable == (solve_via_flow(g, c, t, n) is not None)
+    if out.solvable:
+        assert replay(g, c, out.witness) == out.final and out.final[t] >= n

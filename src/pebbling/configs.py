@@ -89,17 +89,68 @@ def enumerate_configs(vertex_count: int, total: int) -> Iterator[Config]:
     ascending; yields C(total + n - 1, n - 1) items."""
     if vertex_count < 1 or total < 0:
         raise PebblingError("need vertex_count >= 1 and size >= 0")
+    yield from bounded_configs(total, (1,) * vertex_count, total)
 
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            yield tuple(prefix) + (remaining,)
-            return
-        for x in range(remaining + 1):
-            prefix.append(x)
-            yield from rec(prefix, remaining - x, slots - 1)
-            prefix.pop()
 
-    yield from rec([], total, vertex_count)
+def bounded_configs(total: int, cost: tuple[int, ...], budget: int) -> Iterator[Config]:
+    """Size-``total`` configurations c on len(cost) vertices with
+    sum(c[v] // cost[v]) <= budget, lexicographically ascending.
+
+    Costs are positive.  Iterative depth-first walk: a prefix is cut when
+    it spends more than the budget, or when the remaining vertices cannot
+    hold the remaining pebbles (at most sum(cost - 1) + budget * max cost
+    of them)."""
+    k = len(cost)
+    last = k - 1
+    # free[j], top[j]: sum(cost - 1) and max cost over vertices j.. .
+    free = [0] * (k + 1)
+    top = [0] * (k + 1)
+    for j in range(last, -1, -1):
+        free[j] = free[j + 1] + cost[j] - 1
+        top[j] = max(top[j + 1], cost[j])
+    if budget < 0 or total > free[0] + budget * top[0]:
+        return
+    if k == 0:
+        yield ()
+        return
+    c = [0] * k
+    rem = [0] * k  # pebbles left for vertices j..
+    left = [0] * k  # budget left for vertices j..
+    rem[0] = total
+    left[0] = budget
+    j = 0
+    x = 0  # next value to try at vertex j
+    while True:
+        if j == last:
+            c[last] = rem[last]
+            if c[last] // cost[last] <= left[last]:
+                yield tuple(c)
+            j -= 1
+            if j < 0:
+                return
+            x = c[j] + 1
+            continue
+        r, b, cj = rem[j], left[j], cost[j]
+        cap_free, cap_top = free[j + 1], top[j + 1]
+        while x <= r:
+            spent = x // cj
+            if spent > b:
+                x = r + 1
+            elif r - x <= cap_free + (b - spent) * cap_top:
+                break
+            else:
+                x += 1
+        if x > r:
+            j -= 1
+            if j < 0:
+                return
+            x = c[j] + 1
+            continue
+        c[j] = x
+        rem[j + 1] = r - x
+        left[j + 1] = b - x // cj
+        j += 1
+        x = 0
 
 
 def enumerate_configs_with_support(

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .configs import Config, config_from_text, config_to_text
 from .errors import PebblingError
 from .graphs import Graph, bfs_distances
-from .solver import Step, _check_instance, _greedy_steps, _potential, apply_step
+from .solver import Step, _check_instance, _greedy_steps, _potential, replay
 
 FlowMap = dict[tuple[int, int], int]
 
@@ -67,11 +67,10 @@ def is_realized(f: PebbleFlow) -> bool:
 
 def flow_from_steps(g: Graph, c: Config, steps) -> PebbleFlow:
     """Count steps per edge after checking they replay legally from c."""
-    work = c
+    replay(g, c, steps)
     flow: FlowMap = {}
-    for u, v in steps:
-        work = apply_step(g, work, u, v)
-        flow[(u, v)] = flow.get((u, v), 0) + 1
+    for step in steps:
+        flow[step] = flow.get(step, 0) + 1
     return PebbleFlow(g, c, flow)
 
 

@@ -103,6 +103,27 @@ class Graph:
             cache[t] = scale, tuple(0 if cv is None else scale // cv for cv in cost)
         return cache[t]
 
+    def loss_free_moves(self, t: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """Table of the greedy concentration toward ``t``: each vertex u
+        with a loss-free edge (cost(u) = weight * cost(head)), by descending
+        (cost(u), u), with its (head, weight) moves by ascending
+        (cost(head), head, weight)."""
+        cache = self.__dict__.setdefault("_loss_free_moves", {})
+        if t not in cache:
+            cost = self.cost_to(t)
+            rows = []
+            reachable = [(cu, u) for u, cu in enumerate(cost) if cu is not None]
+            for cu, u in sorted(reachable, reverse=True):
+                moves = sorted(
+                    (cost[v], v, w)
+                    for _, v, w in self.out_edges[u]
+                    if cost[v] is not None and cu == w * cost[v]
+                )
+                if moves:
+                    rows.append((u, tuple((v, w) for _, v, w in moves)))
+            cache[t] = tuple(rows)
+        return cache[t]
+
     def to_text(self) -> str:
         lines = [f"vertices {self.vertex_count}"]
         lines += [f"edge {u} {v} {w}" for u, v, w in self.edges]

@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import configs
-from .configs import Config, enumerate_configs, reduced_size, support_count
+from .configs import Config, bounded_configs, enumerate_configs, support_count
 from .errors import PebblingError, SearchCapExceeded
 from .graphs import Graph
 
@@ -46,19 +46,18 @@ class SolveResult:
 
 def apply_step(g: Graph, c: Config, u: int, v: int) -> Config:
     """Fire edge (u, v): remove its weight from u, add one pebble at v."""
-    w = g.weight(u, v)
-    if c[u] < w:
-        raise PebblingError(f"vertex {u} has {c[u]} pebbles, step needs {w}")
-    out = list(c)
-    out[u] -= w
-    out[v] += 1
-    return tuple(out)
+    return replay(g, c, ((u, v),))
 
 
 def replay(g: Graph, c: Config, steps) -> Config:
+    work = list(c)
     for u, v in steps:
-        c = apply_step(g, c, u, v)
-    return c
+        w = g.weight(u, v)
+        if work[u] < w:
+            raise PebblingError(f"vertex {u} has {work[u]} pebbles, step needs {w}")
+        work[u] -= w
+        work[v] += 1
+    return tuple(work)
 
 
 def _check_instance(g: Graph, c: Config | None, t: int, n: int) -> None:
@@ -92,34 +91,31 @@ def _potential(g: Graph, c: Config, t: int) -> int:
 
 
 def _greedy_steps(g: Graph, c: Config, t: int, n: int) -> tuple[Step, ...] | None:
-    """Heuristic witness search: repeatedly take the most expensive occupied
-    vertex and fire a loss-free edge (cost(u) = weight * cost(head)) toward
-    the cheapest head whose weight its pebbles can pay.  Complete on graphs
-    where concentrating along cheapest paths suffices; else returns None."""
-    cost = g.cost_to(t)
+    """Heuristic witness search: repeatedly take the most expensive vertex
+    that can pay for a loss-free edge (cost(u) = weight * cost(head)) and
+    fire it toward the cheapest such head (``Graph.loss_free_moves``).
+    Complete on graphs where concentrating along cheapest paths suffices;
+    else returns None.
+
+    Pebbles only move to cheaper vertices, which come later in the table,
+    so one pass over it makes the same steps: each vertex fires each move
+    in turn as often as it can pay, and never gains pebbles afterwards."""
     work = list(c)
+    if work[t] >= n:
+        return ()
     steps: list[Step] = []
-    while work[t] < n:
-        candidates = []
-        for u in range(g.vertex_count):
-            if u == t or not work[u] or cost[u] is None:
-                continue
-            moves = [
-                (cost[v], v, w)
-                for _, v, w in g.out_edges[u]
-                if cost[v] is not None
-                and cost[u] == w * cost[v]
-                and work[u] >= w
-            ]
-            if moves:
-                candidates.append((cost[u], u, min(moves)))
-        if not candidates:
-            return None
-        _, u, (_, v, w) = max(candidates)
-        work[u] -= w
-        work[v] += 1
-        steps.append((u, v))
-    return tuple(steps)
+    for u, moves in g.loss_free_moves(t):
+        for v, w in moves:
+            k = work[u] // w
+            if v == t:
+                k = min(k, n - work[t])
+            if k:
+                work[u] -= k * w
+                work[v] += k
+                steps += [(u, v)] * k
+                if work[t] >= n:
+                    return tuple(steps)
+    return None
 
 
 def solvable_quick(g: Graph, c: Config, t: int, n: int) -> bool | None:
@@ -155,41 +151,50 @@ def is_solvable(g: Graph, c: Config, t: int, n: int) -> SolveResult:
     # Each edge with the fixed amount its step takes off the potential.
     edges = [(u, v, w, w * weight[u] - weight[v]) for u, v, w in g.edges]
     failed: set[Config] = set()
-
-    def search(conf: Config, pot: int):
-        if conf[t] >= n:
-            return (), conf
-        for u, v, w, drop in edges:
-            if conf[u] >= w:
-                nxt = list(conf)
-                nxt[u] -= w
-                nxt[v] += 1
-                nxt = tuple(nxt)
-                if nxt in failed:
-                    continue
-                # Potential prune before descending.
-                if pot - drop >= bound:
-                    sub = search(nxt, pot - drop)
-                    if sub is not None:
-                        steps, final = sub
-                        return ((u, v),) + steps, final
-                failed.add(nxt)
-        return None
-
-    hit = search(c, pot)
-    if hit is None:
-        return SolveResult(False)
-    steps, final = hit
-    return SolveResult(True, steps, final)
+    # Depth-first over steps in edge order with an explicit stack of
+    # [configuration, potential, next edge index]; path holds the steps
+    # from c to the top frame.  A configuration whose subtree fails, or
+    # that the potential prunes, joins ``failed``.
+    stack = [[c, pot, 0]]
+    path: list[Step] = []
+    m = len(edges)
+    while stack:
+        frame = stack[-1]
+        conf, pot, i = frame
+        while i < m:
+            u, v, w, drop = edges[i]
+            i += 1
+            if conf[u] < w:
+                continue
+            nxt = list(conf)
+            nxt[u] -= w
+            nxt[v] += 1
+            nxt = tuple(nxt)
+            if nxt in failed:
+                continue
+            if pot - drop >= bound:
+                path.append((u, v))
+                if nxt[t] >= n:
+                    return SolveResult(True, tuple(path), nxt)
+                frame[2] = i
+                stack.append([nxt, pot - drop, 0])
+                break
+            failed.add(nxt)
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+                failed.add(conf)
+    return SolveResult(False)
 
 
 def _unsolvable(g: Graph, c: Config, t: int, n: int) -> bool:
-    """Exact decision: the quick bounds, then the search only when they
-    give no answer."""
+    """Exact decision without a witness: the quick bounds and the greedy
+    concentration, then the search only when they give no answer."""
     quick = solvable_quick(g, c, t, n)
-    if quick is None:
-        return not is_solvable(g, c, t, n)
-    return not quick
+    if quick is not None:
+        return not quick
+    return _greedy_steps(g, c, t, n) is None and not is_solvable(g, c, t, n)
 
 
 @dataclass(frozen=True)
@@ -239,8 +244,10 @@ def _structured_witness(g: Graph, t: int, n: int, p: int) -> Config | None:
 
 
 def _scan_chunk(args):
-    g, t, n, p, first = args
-    for rest in enumerate_configs(g.vertex_count - 1, p - first):
+    """First unsolvable configuration with c[0] = first in the box (see
+    ``find_unsolvable``), in lexicographic order."""
+    g, t, n, p, cost, first = args
+    for rest in bounded_configs(p - first, cost[1:], n - 1 - first // cost[0]):
         c = (first,) + rest
         if _unsolvable(g, c, t, n):
             return c
@@ -252,16 +259,26 @@ def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config |
 
     Deterministic regardless of the worker count: when the structured
     pre-pass misses, the lexicographically smallest witness of the full
-    scan is returned.
+    scan is returned.  The scan walks only the box sum(c(v) // cost(v)) < n
+    in lexicographic order: every configuration outside it is solvable by
+    independent delivery (``_deliverable``), so the smallest unsolvable
+    one is the same.
     """
     _check_instance(g, None, t, n)
+    if p < 0:
+        raise PebblingError(f"need size p >= 0, got {p}")
+    if n == 0:
+        return None
     w = _singleton_witness(g, t, n, p)
     if w is not None:
         return w
     w = _structured_witness(g, t, n, p)
     if w is not None:
         return w
-    chunks = [(g, t, n, p, first) for first in range(p + 1)]
+    # A vertex that cannot reach t delivers nothing: cost p + 1 bounds
+    # nothing within size p.
+    cost = tuple(p + 1 if cv is None else cv for cv in g.cost_to(t))
+    chunks = [(g, t, n, p, cost, first) for first in range(min(p + 1, n * cost[0]))]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for hit in pool.map(_scan_chunk, chunks):

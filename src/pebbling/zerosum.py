@@ -10,6 +10,7 @@ the gcd-weighted variant, and the general divisors-of-n statement.
 
 from __future__ import annotations
 
+from collections import deque
 from math import gcd
 
 from .errors import PebblingError
@@ -40,7 +41,7 @@ class PayloadState:
     """Per-vertex FIFO queues of index sets, one per pebble."""
 
     def __init__(self, vertex_count: int):
-        self.queues: list[list[IndexSet]] = [[] for _ in range(vertex_count)]
+        self.queues: list[deque[IndexSet]] = [deque() for _ in range(vertex_count)]
 
     def place(self, vertex: int, indices: IndexSet) -> None:
         self.queues[vertex].append(indices)
@@ -60,10 +61,12 @@ class PayloadState:
         if well_placed is not None:
             for v, queue in enumerate(self.queues):
                 for s in queue:
-                    if not well_placed(v, s):
-                        raise PebblingError(
-                            f"payload at vertex {v} is not well-placed: {sorted(s)}"
-                        )
+                    _check_placed(well_placed, v, s)
+
+
+def _check_placed(well_placed, v: int, s: IndexSet) -> None:
+    if not well_placed(v, s):
+        raise PebblingError(f"payload at vertex {v} is not well-placed: {sorted(s)}")
 
 
 def pebbling_construction(
@@ -79,8 +82,11 @@ def pebbling_construction(
     ``placements`` maps 1-based indices to their starting vertices; each
     step of weight k pops k index sets (FIFO) from its source and pushes
     ``combiner(u, v, sets)`` -- a non-empty subset of their union -- onto
-    its head.  Returns the front payload at the target.  When
-    ``well_placed`` is given, every queue is validated after every step.
+    its head.  Returns the front payload at the target.  The whole state
+    is validated (with ``well_placed``, when given) before and after the
+    replay, and each step checks only the set it places: a step changes
+    no other payload, and the merged set lies inside what it popped, so
+    the sets stay non-empty and disjoint.
     """
     state = PayloadState(g.vertex_count)
     for i in sorted(placements):
@@ -93,15 +99,17 @@ def pebbling_construction(
             raise PebblingError(
                 f"step ({u},{v}) needs {w} pebbles, vertex has {len(queue)}"
             )
-        popped = [queue.pop(0) for _ in range(w)]
+        popped = [queue.popleft() for _ in range(w)]
         union = frozenset().union(*popped)
         merged = frozenset(combiner(u, v, popped))
         if not merged or not merged <= union:
             raise PebblingError(
                 "combiner must return a non-empty subset of the popped union"
             )
+        if well_placed is not None:
+            _check_placed(well_placed, v, merged)
         state.place(v, merged)
-        state.check(well_placed)
+    state.check(well_placed)
     if not state.queues[t]:
         raise PebblingError("steps do not deliver a pebble to the target")
     return state.queues[t][0]

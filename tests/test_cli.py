@@ -187,6 +187,14 @@ def test_target_outside_graph_exits_1(capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_negative_witness_size_exits_1(capsys):
+    code, out, err = run(
+        capsys, "witness", "--family", "path:3:2", "--target", "0", "--size", "-2"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["pi", "--target", "0"])  # no graph source

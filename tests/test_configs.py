@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pebbling.configs import (
     add,
+    bounded_configs,
     config_from_json,
     config_from_pairs,
     config_from_text,
@@ -85,6 +86,22 @@ def test_enumerate_counts():
             assert len(set(items)) == len(items)
             assert items == sorted(items)
             assert all(sum(c) == k for c in items)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    st.integers(0, 4),
+    st.integers(0, 14),
+)
+def test_bounded_configs_is_the_filtered_enumeration(cost, n, p):
+    cost = tuple(cost)
+    expected = [
+        c
+        for c in enumerate_configs(len(cost), p)
+        if sum(x // w for x, w in zip(c, cost)) < n
+    ]
+    assert list(bounded_configs(p, cost, n - 1)) == expected
 
 
 def test_enumerate_with_support_partitions_by_support():

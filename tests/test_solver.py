@@ -13,6 +13,7 @@ from pebbling.graphs import (
     complete_graph,
     cycle_graph,
     hypercube_graph,
+    lemke_graph,
     path_graph,
     star_graph,
 )
@@ -127,6 +128,7 @@ def test_unsolvable_witness():
     assert w is not None and sum(w) == 7
     assert not is_solvable(cycle_graph(6), w, 0, 1).solvable
     assert find_unsolvable(path_graph(2), 0, 1, 2) is None
+    assert find_unsolvable(Graph(1, ()), 0, 2, 3) is None
 
 
 def test_has_2pp_trivial_and_small():
@@ -176,6 +178,12 @@ def test_bad_instances_raise():
         solve_via_flow(path_graph(3), (1, 2, 0, 0), 0, 1)
     with pytest.raises(PebblingError):
         pebbling_number(path_graph(3), 9)
+    with pytest.raises(PebblingError, match="size p >= 0"):
+        find_unsolvable(path_graph(3), 0, 1, -1)
+
+
+def test_nothing_is_zero_fold_unsolvable():
+    assert find_unsolvable(path_graph(3), 0, 0, 1) is None
 
 
 def test_deep_witness_replays():
@@ -187,6 +195,32 @@ def test_deep_witness_replays():
     out = is_solvable(g, c, 2, m + 1)
     assert out.solvable and len(out.witness) >= 3 * m
     assert replay(g, c, out.witness) == out.final and out.final[2] >= m + 1
+
+
+def test_deep_search_without_greedy_replays():
+    # The greedy stalls with 2 pebbles on vertex 2; the search then takes
+    # one lossy step (2, 1) and needs 1202 steps in all, past the
+    # recursion limit.
+    g = Graph(3, ((1, 0, 2), (2, 0, 3), (2, 1, 2)))
+    c, n = (0, 1, 3602), 1201
+    assert _greedy_steps(g, c, 0, n) is None
+    out = is_solvable(g, c, 0, n)
+    assert out.solvable
+    assert replay(g, c, out.witness) == out.final and out.final[0] >= n
+
+
+def test_box_scan_pins_cycle_witness():
+    # The full scan at p = 21 runs over the box only; its smallest
+    # unsolvable configuration at p = 20 is the witness.
+    out = pebbling_number(cycle_graph(9), 0)
+    assert (out.value, out.witness_unsolvable) == (21, (0, 0, 0, 0, 9, 11, 0, 0, 0))
+
+
+def test_2pp_counterexample_independent_of_jobs():
+    g = lemke_graph()
+    one = has_2pp(g, 8, jobs=1)
+    assert not one[0]
+    assert has_2pp(g, 8, jobs=2) == one
 
 
 @st.composite

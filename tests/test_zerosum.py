@@ -70,6 +70,27 @@ def test_pebbling_construction_checks_steps_and_combiner():
         )
 
 
+def test_replay_rejects_badly_placed_merge_at_its_step():
+    # Four singletons on vertex 0 of the path 0 -> 1 -> 2; the second
+    # combine returns a set that the placement rule rejects at vertex 1.
+    g = path_graph(3)
+    placements = {i: 0 for i in range(1, 5)}
+    calls = []
+
+    def combiner(u, v, sets):
+        calls.append((u, v))
+        merged = frozenset().union(*sets)
+        return merged if len(calls) != 2 else frozenset({min(merged)})
+
+    def well_placed(v, s):
+        return len(s) == 2**v
+
+    steps = [(0, 1), (0, 1), (1, 2)]
+    with pytest.raises(PebblingError, match="vertex 1 is not well-placed: \\[3\\]"):
+        pebbling_construction(g, 2, placements, combiner, steps, well_placed)
+    assert len(calls) == 2
+
+
 def test_divisor_zero_sum_small_exhaustive():
     for n in (1, 2, 3, 4, 6):
         ds = divisors_of(n)

@@ -210,8 +210,8 @@ def test_deep_search_without_greedy_replays():
 
 
 def test_box_scan_pins_cycle_witness():
-    # The full scan at p = 21 runs over the box only; its smallest
-    # unsolvable configuration at p = 20 is the witness.
+    # The structured pass finds the support-two witness at p = 20; the
+    # box scan at p = 21 must find nothing.
     out = pebbling_number(cycle_graph(9), 0)
     assert (out.value, out.witness_unsolvable) == (21, (0, 0, 0, 0, 9, 11, 0, 0, 0))
 

@@ -31,14 +31,14 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_graph(args) -> Graph:
-    if args.family:
+    if args.graph is None:  # an empty --family is still the chosen source
         return make_family(args.family)
     with open(args.graph) as fh:
         return graph_from_text(fh.read())
 
 
 def _load_config(args, g: Graph) -> configs.Config:
-    if getattr(args, "place", None):
+    if args.config is None:
         pairs = []
         for chunk in args.place.split(","):
             v, x = chunk.split(":")
@@ -150,9 +150,16 @@ def _cmd_witness(args) -> None:
         _emit(args, "found", witness=w)
 
 
+def _given_pi(args, g: Graph) -> int:
+    """--pi when given (0 and negatives included), else pi(G)."""
+    if args.pi is None:
+        return solver.pebbling_number_graph(g, jobs=args.jobs)
+    return args.pi
+
+
 def _cmd_2pp(args) -> None:
     g = _load_graph(args)
-    pi = args.pi if args.pi else solver.pebbling_number_graph(g, jobs=args.jobs)
+    pi = _given_pi(args, g)
     holds, ce = solver.has_2pp(g, pi, variant=args.variant, jobs=args.jobs)
     if holds:
         _emit(args, "holds")
@@ -233,8 +240,7 @@ def _cmd_erdos_lemke(args) -> None:
 def _cmd_emit_smv(args) -> None:
     g = _load_graph(args)
     if args.two_pp:
-        pi = args.pi if args.pi else solver.pebbling_number_graph(g, jobs=args.jobs)
-        model = smv.emit_2pp_model(g, pi)
+        model = smv.emit_2pp_model(g, _given_pi(args, g))
     else:
         if args.pebbles is None:
             raise PebblingError("emit-smv needs --pebbles (or --two-pp)")

@@ -157,32 +157,13 @@ def enumerate_configs_with_support(
     vertex_count: int, total: int, support_size: int
 ) -> Iterator[Config]:
     """Configurations of the exact size whose support has exactly the given
-    number of vertices."""
-    if support_size > vertex_count or (support_size == 0) != (total == 0):
+    number of vertices, lexicographically ascending; none for a negative
+    size."""
+    if total < 0:
         return
-    if support_size == 0:
-        yield (0,) * vertex_count
-        return
-    if total < support_size:
-        return
-
-    def rec(prefix: list[int], remaining: int, slots: int, occupied: int):
-        need = support_size - occupied
-        if need < 0:
-            return
-        if slots == 1:
-            if (remaining > 0) == (need == 1) and need <= 1:
-                yield tuple(prefix) + (remaining,)
-            return
-        if need > slots or remaining < need:
-            return
-        choices = range(remaining + 1) if need < slots else range(1, remaining + 1)
-        for x in choices:
-            prefix.append(x)
-            yield from rec(prefix, remaining - x, slots - 1, occupied + (x > 0))
-            prefix.pop()
-
-    yield from rec([], total, vertex_count, 0)
+    for c in bounded_configs(total, (1,) * vertex_count, total):
+        if support_count(c) == support_size:
+            yield c
 
 
 def config_from_pairs(vertex_count: int, pairs) -> Config:

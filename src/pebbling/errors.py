@@ -6,4 +6,4 @@ class PebblingError(Exception):
 
 
 class SearchCapExceeded(PebblingError):
-    """A bounded search ran past its configured size or node cap."""
+    """A pebbling-number or optimal-pebbling search ran past its size cap."""

@@ -239,7 +239,6 @@ def solve_via_flow(
         in_open[v] += cap
     in_got = list(c)     # c(v) + assigned inflow
     out_spent = [0] * nv  # assigned weighted outflow
-    assignment: list[int] = []
 
     def feasible_completion(spent: int) -> bool:
         left = budget - spent
@@ -249,30 +248,48 @@ def solve_via_flow(
                 return False
         return True
 
-    def dfs(i: int, spent: int) -> bool:
-        if i == len(edges):
-            return all(
-                in_got[v] - out_spent[v] >= (n if v == t else 0)
-                for v in range(nv)
-            )
-        u, v, w = edges[i]
-        in_open[v] -= caps[i]
-        limit = min(caps[i], (budget - spent) // (w - 1))
-        for value in range(limit, -1, -1):
-            in_got[v] += value
-            out_spent[u] += w * value
-            used = spent + (w - 1) * value
-            if feasible_completion(used) and dfs(i + 1, used):
-                assignment.append(value)
-                return True
+    if not edges:
+        return None  # c(t) < n and nothing can move
+    # Depth-first over the edges in order with an explicit stack:
+    # assignment holds the values of edges[:i], and value is the next one
+    # to try on edge i = (u, v, w), which is open (its cap is out of
+    # in_open).  After the last edge, in_open is all zero and
+    # feasible_completion is the exact excess check.
+    assignment: list[int] = []
+    i = spent = 0
+    u, v, w = edges[0]
+    in_open[v] -= caps[0]
+    value = min(caps[0], budget // (w - 1))
+    while True:
+        if value < 0:
+            # Edge i is exhausted: reopen it, back up to edge i - 1.
+            in_open[v] += caps[i]
+            if i == 0:
+                return None
+            i -= 1
+            u, v, w = edges[i]
+            value = assignment.pop()
             in_got[v] -= value
             out_spent[u] -= w * value
-        in_open[v] += caps[i]
-        return False
-
-    if not dfs(0, 0):
-        return None
-    assignment.reverse()
+            spent -= (w - 1) * value
+            value -= 1
+            continue
+        in_got[v] += value
+        out_spent[u] += w * value
+        used = spent + (w - 1) * value
+        if not feasible_completion(used):
+            in_got[v] -= value
+            out_spent[u] -= w * value
+            value -= 1
+            continue
+        assignment.append(value)
+        i += 1
+        if i == len(edges):
+            break
+        spent = used
+        u, v, w = edges[i]
+        in_open[v] -= caps[i]
+        value = min(caps[i], (budget - spent) // (w - 1))
     flow = {
         (u, v): count
         for (u, v, _), count in zip(edges, assignment)

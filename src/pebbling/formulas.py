@@ -20,10 +20,13 @@ def pi_complete(n: int, k: int) -> int:
     return (n - 1) * (k - 1) + 1
 
 
-def _tree_children(g: Graph, r: int) -> dict[int, list[int]]:
-    """Orient an undirected tree skeleton away from the root; errors out
-    when the graph is not a tree."""
+def _tree_children(g: Graph, r: int) -> tuple[dict[int, list[int]], list[int]]:
+    """Orient an undirected tree skeleton away from the root r, returning
+    the children of each vertex and the BFS order from r; errors out when
+    r is not a vertex or the graph is not a tree."""
     n = g.vertex_count
+    if not 0 <= r < n:
+        raise PebblingError(f"root {r} is not a vertex (0..{n - 1})")
     directed = {(u, v) for u, v, _ in g.edges}
     if any((v, u) not in directed for u, v in directed):
         raise PebblingError("tree skeleton must be undirected")
@@ -40,7 +43,7 @@ def _tree_children(g: Graph, r: int) -> dict[int, list[int]]:
                 queue.append(u)
     if len(seen) != n:
         raise PebblingError("tree skeleton must be connected")
-    return children
+    return children, queue
 
 
 @dataclass(frozen=True)
@@ -57,16 +60,17 @@ def max_path_partition(g: Graph, r: int) -> PathPartition:
     the root covering every non-root vertex, with lexicographically
     maximal size sequence.
 
-    Built bottom-up: each child's maximum partition gets the child
-    appended to its longest path, and the root merges the results.  Ties
-    between equal-length longest paths go to the lowest child id.
+    Built bottom-up, children before parents (reverse BFS order): each
+    child's maximum partition gets the child appended to its longest path,
+    and the parent merges the results.  Ties between equal-length longest
+    paths go to the lowest child id.
     """
-    children = _tree_children(g, r)
-
-    def build(v: int) -> list[list[int]]:
+    children, order = _tree_children(g, r)
+    parts: dict[int, list[list[int]]] = {}
+    for v in reversed(order):
         merged: list[list[int]] = []
         for ch in children[v]:
-            sub = build(ch)
+            sub = parts.pop(ch)
             if sub:
                 # append the child to its longest path (paths run toward
                 # the root, so the child goes at the end)
@@ -75,10 +79,8 @@ def max_path_partition(g: Graph, r: int) -> PathPartition:
                 sub = [[ch]]
             merged.extend(sub)
         merged.sort(key=lambda p: (-len(p), p))
-        return merged
-
-    paths = build(r)
-    return PathPartition(r, tuple(tuple(p) for p in paths))
+        parts[v] = merged
+    return PathPartition(r, tuple(tuple(p) for p in parts[r]))
 
 
 def pi_tree(g: Graph, r: int, k: int = 2, n: int = 1) -> int:

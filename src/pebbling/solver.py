@@ -22,6 +22,7 @@ of them, here and in ``flows.solve_via_flow``.
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -353,6 +354,8 @@ def has_2pp(g: Graph, pi: int, variant: str = "support", jobs: int = 1):
     """
     if variant not in ("support", "odd"):
         raise PebblingError(f"unknown 2PP variant {variant!r}")
+    if pi < 1:
+        raise PebblingError(f"pebbling number must be >= 1, got {pi}")
     count_q = support_count if variant == "support" else _odd_count
     nv = g.vertex_count
     if nv == 1:
@@ -372,17 +375,12 @@ def has_2pp(g: Graph, pi: int, variant: str = "support", jobs: int = 1):
     return True, None
 
 
-def _tau_subconfig_exists(
-    g: Graph, c: Config, t: int, n: int, k: int, m: int, memo: dict, node_cap: int
-) -> bool:
+def _tau_subconfig_exists(g: Graph, c: Config, t: int, n: int, k: int, m: int) -> bool:
     """Is there c* within c, n-fold t-solvable, with r_k(c - c*) >= m?"""
-    total = sum(c)
     cost = g.cost_to(t)
 
     def residual_ok(cstar: Config) -> bool:
-        rest = tuple(a - b for a, b in zip(c, cstar))
-        supp = support_count(rest)
-        return (total - sum(cstar)) - (k - 1) * (supp - 1) >= m
+        return configs.reduced_size(tuple(a - b for a, b in zip(c, cstar)), k) >= m
 
     # Fast path: n*cost(v) pebbles taken from one vertex, optionally with
     # the target's own pebbles counted first.
@@ -403,59 +401,30 @@ def _tau_subconfig_exists(
                 )
                 if residual_ok(cstar):
                     return True
-    # Complete fallback: search the subconfiguration lattice.
-    nodes = 0
-
-    def rec(idx: int, prefix: list[int]):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise SearchCapExceeded("tau subconfiguration search cap exceeded")
-        if idx == g.vertex_count:
-            cstar = tuple(prefix)
-            if not residual_ok(cstar):
-                return False
-            key = cstar
-            if key not in memo:
-                memo[key] = bool(is_solvable(g, cstar, t, n))
-            return memo[key]
-        for x in range(c[idx], -1, -1):
-            prefix.append(x)
-            if rec(idx + 1, prefix):
-                prefix.pop()
-                return True
-            prefix.pop()
-        return False
-
-    return rec(0, [])
+    # Complete fallback: every subconfiguration, largest counts first.
+    for cstar in itertools.product(*(range(x, -1, -1) for x in c)):
+        if residual_ok(cstar) and not _unsolvable(g, cstar, t, n):
+            return True
+    return False
 
 
-def verify_tau(
-    g: Graph,
-    t: int,
-    n: int,
-    k: int,
-    p: int,
-    m_max: int,
-    node_cap: int = 2_000_000,
-) -> bool:
+def verify_tau(g: Graph, t: int, n: int, k: int, p: int, m_max: int) -> bool:
     """Bounded check that tau_{n,k}(G, t) <= p: for every m <= m_max and
     every configuration c with |c| = p - s#(c) + 1 + m there must be an
     n-fold t-solvable subconfiguration whose residual keeps k-reduced size
-    at least m.  A True result certifies the bound up to m_max only."""
+    at least m.  A True result certifies the bound up to m_max only.
+
+    Each configuration has one m = |c| + s#(c) - p - 1, so one walk over
+    the sizes max(p + 1 - #V, 0) .. p + 1 + m_max covers every (m, c)."""
     _check_instance(g, None, t, n)
     if m_max < 0 or k < 1:
         raise PebblingError("need m_max >= 0, k >= 1")
     nv = g.vertex_count
-    memo: dict = {}
-    for m in range(m_max + 1):
-        for q in range(0, nv + 1):
-            s = p - q + 1 + m
-            if s < 0:
-                continue
-            for c in configs.enumerate_configs_with_support(nv, s, q):
-                if not _tau_subconfig_exists(g, c, t, n, k, m, memo, node_cap):
-                    return False
+    for s in range(max(p + 1 - nv, 0), p + 2 + m_max):
+        for c in enumerate_configs(nv, s):
+            m = s + support_count(c) - p - 1
+            if 0 <= m <= m_max and not _tau_subconfig_exists(g, c, t, n, k, m):
+                return False
     return True
 
 

@@ -9,6 +9,7 @@ evaluator interprets the emitted transition relation explicitly.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from functools import lru_cache
@@ -283,3 +284,39 @@ def random_legal_steps(rng: random.Random, g: Graph, c, max_steps: int):
         work[v] += 1
         steps.append((u, v))
     return steps, tuple(work)
+
+
+# ---------------------------------------------------------------------------
+# Bounded tau_{n,k} certification by brute force.
+#
+# Straight from the definition: for every m in 0..m_max, every
+# configuration c with |c| + s#(c) = p + 1 + m (found by trying every
+# count vector, not by a generator) must contain a subconfiguration c*
+# that is n-fold t-solvable, decided by the flow search rather than the
+# configuration search, whose residual c - c* keeps k-reduced size
+# |c - c*| - (k - 1)(s#(c - c*) - 1) at least m.
+
+
+def tau_oracle(g: Graph, t: int, n: int, k: int, p: int, m_max: int) -> bool:
+    from pebbling.flows import solve_via_flow
+
+    nv = g.vertex_count
+
+    @lru_cache(maxsize=None)
+    def solvable(cstar) -> bool:
+        return solve_via_flow(g, cstar, t, n) is not None
+
+    def has_good_part(c, m: int) -> bool:
+        for cstar in itertools.product(*(range(x + 1) for x in c)):
+            rest = [a - b for a, b in zip(c, cstar)]
+            reduced = sum(rest) - (k - 1) * (sum(1 for x in rest if x) - 1)
+            if reduced >= m and solvable(cstar):
+                return True
+        return False
+
+    for m in range(m_max + 1):
+        top = p + 1 + m
+        for c in itertools.product(range(max(top, 0) + 1), repeat=nv):
+            if sum(c) + sum(1 for x in c if x) == top and not has_good_part(c, m):
+                return False
+    return True

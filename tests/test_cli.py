@@ -202,3 +202,82 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+P3 = ["--family", "path:3:2"]
+TAU = ["--n", "1", "--k", "2", "--p", "3", "--m-max", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --family
+        ["pi", "--family", "", "--target", "0"],
+        ["pi", "--family", "cycle:x:2", "--target", "0"],
+        ["pi", "--family", "cycle:3", "--target", "0"],
+        ["pi", "--family", "cycle:1:2", "--target", "0"],
+        ["pi", "--family", "grid:3", "--target", "0"],
+        ["pi", "--family", "hypercube", "--target", "0"],
+        ["pi", "--family", "hypercube:1", "--target", "0"],
+        ["pi", "--family", "divisor_lattice:0", "--target", "0"],
+        ["pi", "--family", "path:3:2xpath:0:2", "--target", "0"],
+        ["pi", "--family", "blorp:3", "--target", "0"],
+        # --place
+        ["solve", *P3, "--place", "", "--target", "2"],
+        ["solve", *P3, "--place", ",", "--target", "2"],
+        ["solve", *P3, "--place", "0", "--target", "2"],
+        ["solve", *P3, "--place", "0:x", "--target", "2"],
+        ["solve", *P3, "--place", "0:1:2", "--target", "2"],
+        ["solve", *P3, "--place", "5:1", "--target", "2"],
+        ["flow", *P3, "--place", "0:-1", "--target", "2"],
+        # --target
+        ["pi", *P3, "--target", "x"],
+        ["pi", *P3, "--target", "-1"],
+        ["solve", *P3, "--place", "0:4", "--target", "3"],
+        ["flow", *P3, "--place", "0:4", "--target", "-1"],
+        ["tau", *P3, "--target", "-1", *TAU],
+        # --root
+        ["tree-pi", *P3, "--root", "9"],
+        ["tree-pi", *P3, "--root", "-1"],
+        ["tree-pi", *P3, "--root", "x"],
+        # --n
+        ["pi", *P3, "--target", "0", "--n", "-1"],
+        ["pi", *P3, "--target", "0", "--n", "0"],
+        ["solve", *P3, "--place", "0:4", "--target", "2", "--n", "-1"],
+        ["flow", *P3, "--place", "0:4", "--target", "2", "--n", "-1"],
+        ["tree-pi", *P3, "--root", "0", "--n", "0"],
+        ["tau", *P3, "--target", "0", *TAU[:1], "-1", *TAU[2:]],
+        ["zerosum", "--n", "0", "--seq", "1,2"],
+        ["erdos-lemke", "--n", "0", "--d", "3", "--seq", "2,3"],
+        # --pi
+        ["2pp", "--family", "cycle:4:2", "--pi", "0"],
+        ["2pp", "--family", "cycle:4:2", "--pi", "-3"],
+        ["2pp", "--family", "cycle:4:2", "--pi", "x"],
+        ["emit-smv", "--family", "cycle:4:2", "--two-pp", "--pi", "0"],
+        # --size
+        ["witness", *P3, "--target", "0", "--size", "-2"],
+        ["witness", *P3, "--target", "0", "--size", "x"],
+        # --seq
+        ["zerosum", "--n", "4", "--seq", "1,x"],
+        ["zerosum", "--n", "4", "--seq", ""],
+        ["zerosum", "--n", "4", "--seq", ",,,"],
+        ["zerosum", "--n", "4", "--seq", "1,2", "--divisors"],
+        ["erdos-lemke", "--n", "6", "--d", "3", "--seq", "2,y"],
+        ["erdos-lemke", "--n", "6", "--d", "3", "--seq", ""],
+    ],
+)
+def test_malformed_input_gives_one_error_line(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage error
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_tree_pi_on_a_long_path(capsys):
+    # 1199 levels deep: the partition is built without recursion.
+    code, out, _ = run(capsys, "tree-pi", "--family", "path:1200:2", "--root", "0")
+    assert code == 0 and int(out) == 2**1199

@@ -106,8 +106,8 @@ def test_bounded_configs_is_the_filtered_enumeration(cost, n, p):
 
 def test_enumerate_with_support_partitions_by_support():
     for n in range(1, 5):
-        for k in range(0, 7):
-            whole = sorted(enumerate_configs(n, k))
+        for k in range(-1, 7):
+            whole = sorted(enumerate_configs(n, k)) if k >= 0 else []
             split = sorted(
                 c
                 for q in range(n + 1)

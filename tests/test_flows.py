@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -14,7 +15,13 @@ from pebbling.flows import (
     solve_via_flow,
     unidirectional,
 )
-from pebbling.graphs import cycle_graph, divisor_lattice, hypercube_graph, path_graph
+from pebbling.graphs import (
+    complete_graph,
+    cycle_graph,
+    divisor_lattice,
+    hypercube_graph,
+    path_graph,
+)
 from pebbling.solver import is_solvable, replay
 from oracles import random_config, random_connected_graph, random_legal_steps
 
@@ -101,6 +108,16 @@ def test_solve_via_flow_divisor_lattice():
     assert f is not None and is_feasible(f)
     steps, final = realize(g, f)
     assert final[g.vertex_count - 1] >= 1
+
+
+def test_branch_and_bound_on_many_edges():
+    # K33 has 1056 directed edges, one search level each; three single
+    # pebbles cannot reach the target.
+    g = complete_graph(33)
+    c = (0, 1, 1, 1) + (0,) * 29
+    start = time.perf_counter()
+    assert solve_via_flow(g, c, 0, 1) is None
+    assert time.perf_counter() - start < 2.0
 
 
 def test_flow_conservation_random_steps():

@@ -67,6 +67,9 @@ def test_pi_tree_rejects_non_trees():
         pi_tree(instar_graph(2, 2), 0)  # directed edges only
     with pytest.raises(PebblingError):
         pi_tree(path_graph(3), 0, 1)
+    for root in (3, -1):  # not a vertex
+        with pytest.raises(PebblingError):
+            pi_tree(path_graph(3), root)
 
 
 def test_max_path_partition_shape():
@@ -75,6 +78,11 @@ def test_max_path_partition_shape():
     assert sizes == (2, 1)
     covered = sorted(v for p in pp.paths for v in p)
     assert covered == [0, 2, 3]  # every vertex except the root, once each
+
+
+def test_max_path_partition_of_a_deep_path():
+    pp = max_path_partition(path_graph(1500), 0)
+    assert pp.paths == (tuple(range(1499, 0, -1)),)
 
 
 def test_max_path_partition_is_lex_maximal():

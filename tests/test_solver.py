@@ -14,6 +14,7 @@ from pebbling.graphs import (
     cycle_graph,
     hypercube_graph,
     lemke_graph,
+    make_family,
     path_graph,
     star_graph,
 )
@@ -29,7 +30,7 @@ from pebbling.solver import (
     replay,
     verify_tau,
 )
-from oracles import random_config, random_connected_graph
+from oracles import random_config, random_connected_graph, tau_oracle
 
 
 def test_apply_step_basics():
@@ -138,6 +139,9 @@ def test_has_2pp_trivial_and_small():
     assert has_2pp(cycle_graph(4), 4, variant="odd")[0]
     with pytest.raises(PebblingError):
         has_2pp(complete_graph(3), 3, variant="weird")
+    for pi in (0, -3):  # a non-positive pi would "fail" on the zero config
+        with pytest.raises(PebblingError):
+            has_2pp(cycle_graph(4), pi)
 
 
 def test_verify_tau_small():
@@ -146,6 +150,29 @@ def test_verify_tau_small():
     g = path_graph(2)
     assert verify_tau(g, 1, 1, 2, 3, 8)
     assert not verify_tau(g, 1, 1, 2, 2, 8)
+
+
+def test_verify_tau_matches_brute_force():
+    rng = random.Random(2024)
+    families = (
+        "path:2:2",
+        "path:3:2",
+        "cycle:3:2",
+        "cycle:4:2",
+        "star:3:2",
+        "hypercube:2:3",
+        "arrow:2",
+    )
+    answers = []
+    for _ in range(300):
+        g = make_family(rng.choice(families))
+        t = rng.randrange(g.vertex_count)
+        n, k = rng.randint(1, 2), rng.randint(1, 3)
+        args = (t, n, k, rng.randint(-1, 8), rng.randint(0, 4))  # t n k p m_max
+        answer = verify_tau(g, *args)
+        assert answer == tau_oracle(g, *args), (g.name, args)
+        answers.append(answer)
+    assert True in answers and False in answers
 
 
 def test_optimal_pebbling():

@@ -3,7 +3,3 @@
 
 class PebblingError(Exception):
     """Base class for domain errors raised by this package."""
-
-
-class SearchCapExceeded(PebblingError):
-    """A pebbling-number or optimal-pebbling search ran past its size cap."""

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .configs import Config, config_from_text, config_to_text
 from .errors import PebblingError
 from .graphs import Graph, bfs_distances
-from .solver import Step, _check_instance, _greedy_steps, _potential, replay
+from .solver import Step, _pre_search, replay
 
 FlowMap = dict[tuple[int, int], int]
 
@@ -200,21 +200,14 @@ def solve_via_flow(
     """Find a feasible flow with excess at least n on t, or prove there is
     none; this decides n-fold t-solvability exactly.
 
-    The greedy concentration shared with the configuration search
-    (``solver._greedy_steps``) supplies most positive answers; the complete
-    fallback is depth-first branch and bound over per-edge counts, edges
-    ordered by the head's distance to t and values tried descending.
+    The opening shared with the configuration search
+    (``solver._pre_search``) gives most answers; the complete fallback is
+    depth-first branch and bound over per-edge counts, edges ordered by
+    the head's distance to t and values tried descending.
     """
-    _check_instance(g, c, t, n)
-    if c[t] >= n:
-        return PebbleFlow(g, c, {})
-    scale, _ = g.potential_weights(t)
-    if _potential(g, c, t) < n * scale:
-        return None
-
-    steps = _greedy_steps(g, c, t, n)
-    if steps is not None:
-        return flow_from_steps(g, c, steps)
+    opening = _pre_search(g, c, t, n)
+    if opening is not None:
+        return flow_from_steps(g, c, opening.witness) if opening else None
 
     total = sum(c)
     dist = bfs_distances(g, t)

@@ -9,7 +9,6 @@ preimage" representative used by configuration pullback.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -90,38 +89,6 @@ class Graph:
                     if cost[u] is None:
                         heapq.heappush(heap, (d * w, u))
             cache[t] = tuple(cost)
-        return cache[t]
-
-    def potential_weights(self, t: int) -> tuple[int, tuple[int, ...]]:
-        """Integer weights of the potential sum c(v)/cost(v): the scale L,
-        the lcm of the finite costs to ``t``, and L // cost(v) per vertex
-        (0 where ``t`` is unreachable)."""
-        cache = self.__dict__.setdefault("_potential_weights", {})
-        if t not in cache:
-            cost = self.cost_to(t)
-            scale = math.lcm(*(cv for cv in cost if cv is not None))
-            cache[t] = scale, tuple(0 if cv is None else scale // cv for cv in cost)
-        return cache[t]
-
-    def loss_free_moves(self, t: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """Table of the greedy concentration toward ``t``: each vertex u
-        with a loss-free edge (cost(u) = weight * cost(head)), by descending
-        (cost(u), u), with its (head, weight) moves by ascending
-        (cost(head), head, weight)."""
-        cache = self.__dict__.setdefault("_loss_free_moves", {})
-        if t not in cache:
-            cost = self.cost_to(t)
-            rows = []
-            reachable = [(cu, u) for u, cu in enumerate(cost) if cu is not None]
-            for cu, u in sorted(reachable, reverse=True):
-                moves = sorted(
-                    (cost[v], v, w)
-                    for _, v, w in self.out_edges[u]
-                    if cost[v] is not None and cu == w * cost[v]
-                )
-                if moves:
-                    rows.append((u, tuple((v, w) for _, v, w in moves)))
-            cache[t] = tuple(rows)
         return cache[t]
 
     def to_text(self) -> str:
@@ -295,10 +262,10 @@ def _parse_int(s: str, minimum: int, what: str) -> int:
 def _make_single_family(spec: str) -> Graph:
     parts = spec.strip().split(":")
     kind, args = parts[0], parts[1:]
-    if kind == "petersen":
-        return petersen_graph()
-    if kind == "lemke":
-        return lemke_graph()
+    if kind in ("petersen", "lemke"):
+        if args:
+            raise PebblingError(f"{kind} takes no arguments, got {spec!r}")
+        return petersen_graph() if kind == "petersen" else lemke_graph()
     if kind == "arrow":
         (k,) = args
         return arrow_graph(_parse_int(k, 2, "weight"))
@@ -338,9 +305,11 @@ def make_family(spec: str) -> Graph:
     Factors joined with ``x`` form Cartesian products, e.g.
     ``cycle:3:2 x path:3:2``.
     """
-    factors = [part for part in spec.split("x") if part.strip()]
-    if not factors:
+    if not spec.strip():
         raise PebblingError("empty family descriptor")
+    factors = spec.split("x")
+    if not all(part.strip() for part in factors):
+        raise PebblingError(f"empty product factor in {spec!r}")
     try:
         graphs = [_make_single_family(f) for f in factors]
     except ValueError as exc:  # unpacking errors from wrong arity

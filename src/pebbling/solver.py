@@ -15,21 +15,25 @@ avoid most searches:
   sum(c(v) * (L // cost(v))) is compared against n * L, and one step on
   (u, v) changes it by a fixed amount, so the search updates it in O(1).
 
+Everything a decision toward a target t reads (the costs, the potential
+weights, the greedy's move table and the search's edges with their
+potential drops) is one ``_Target`` record, built once per (graph, t).
 Positive answers carry a step list that replays to the reported final
 configuration; the greedy concentration in ``_greedy_steps`` supplies most
-of them, here and in ``flows.solve_via_flow``.
+of them.  Both exact deciders, ``is_solvable`` here and
+``flows.solve_via_flow``, open with the same ``_pre_search`` step.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import configs
 from .configs import Config, bounded_configs, enumerate_configs, support_count
-from .errors import PebblingError, SearchCapExceeded
+from .errors import PebblingError
 from .graphs import Graph
 
 Step = tuple[int, int]
@@ -74,9 +78,52 @@ def _check_instance(g: Graph, c: Config | None, t: int, n: int) -> None:
         )
 
 
-def _deliverable(g: Graph, c: Config, t: int) -> int:
-    """Lower bound for pebbles movable to t: independent greedy delivery."""
+@dataclass(frozen=True)
+class _Target:
+    """What every decision toward one target t reads, built once per
+    (graph, t) by ``_target``: ``cost`` from ``Graph.cost_to``, the
+    potential's ``scale`` L and ``weight`` L // cost(v) (0 where t is
+    unreachable), the greedy's ``moves`` (each vertex u with a loss-free
+    edge, cost(u) = weight * cost(head), by descending (cost(u), u), with
+    its (head, weight) moves by ascending (cost(head), head, weight)), and
+    the sorted ``edges`` as (u, v, w, drop), drop being what one step on
+    (u, v) takes off the potential."""
+
+    cost: tuple[int | None, ...]
+    scale: int
+    weight: tuple[int, ...]
+    moves: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    edges: tuple[tuple[int, int, int, int], ...]
+
+
+def _target(g: Graph, t: int) -> _Target:
+    """The ``_Target`` record of (g, t), cached on g."""
+    try:
+        return g.__dict__["_targets"][t]
+    except KeyError:
+        pass
     cost = g.cost_to(t)
+    scale = math.lcm(*(cv for cv in cost if cv is not None))
+    weight = tuple(0 if cv is None else scale // cv for cv in cost)
+    moves = []
+    reachable = [(cu, u) for u, cu in enumerate(cost) if cu is not None]
+    for cu, u in sorted(reachable, reverse=True):
+        row = sorted(
+            (cost[v], v, w)
+            for _, v, w in g.out_edges[u]
+            if cost[v] is not None and cu == w * cost[v]
+        )
+        if row:
+            moves.append((u, tuple((v, w) for _, v, w in row)))
+    edges = tuple((u, v, w, w * weight[u] - weight[v]) for u, v, w in g.edges)
+    rec = _Target(cost, scale, weight, tuple(moves), edges)
+    g.__dict__.setdefault("_targets", {})[t] = rec
+    return rec
+
+
+def _deliverable(rec: _Target, c: Config) -> int:
+    """Lower bound for pebbles movable to t: independent greedy delivery."""
+    cost = rec.cost
     total = 0
     for v, x in enumerate(c):
         if x and cost[v] is not None:
@@ -84,17 +131,16 @@ def _deliverable(g: Graph, c: Config, t: int) -> int:
     return total
 
 
-def _potential(g: Graph, c: Config, t: int) -> int:
-    """L * sum c(v)/cost(v), L as in ``Graph.potential_weights``; compare
-    against n * L.  Non-increasing under pebbling steps."""
-    _, weight = g.potential_weights(t)
-    return sum(x * w for x, w in zip(c, weight))
+def _potential(rec: _Target, c: Config) -> int:
+    """The potential of c in the record's scale: compare against
+    n * ``rec.scale``.  Non-increasing under pebbling steps."""
+    return sum(x * w for x, w in zip(c, rec.weight))
 
 
 def _greedy_steps(g: Graph, c: Config, t: int, n: int) -> tuple[Step, ...] | None:
     """Heuristic witness search: repeatedly take the most expensive vertex
     that can pay for a loss-free edge (cost(u) = weight * cost(head)) and
-    fire it toward the cheapest such head (``Graph.loss_free_moves``).
+    fire it toward the cheapest such head (the record's ``moves``).
     Complete on graphs where concentrating along cheapest paths suffices;
     else returns None.
 
@@ -105,7 +151,7 @@ def _greedy_steps(g: Graph, c: Config, t: int, n: int) -> tuple[Step, ...] | Non
     if work[t] >= n:
         return ()
     steps: list[Step] = []
-    for u, moves in g.loss_free_moves(t):
+    for u, moves in _target(g, t).moves:
         for v, w in moves:
             k = work[u] // w
             if v == t:
@@ -123,40 +169,50 @@ def solvable_quick(g: Graph, c: Config, t: int, n: int) -> bool | None:
     """Fast decision when the bounds are conclusive, else None."""
     if c[t] >= n:
         return True
-    if _deliverable(g, c, t) >= n:
+    rec = _target(g, t)
+    if _deliverable(rec, c) >= n:
         return True
-    scale, _ = g.potential_weights(t)
-    if _potential(g, c, t) < n * scale:
+    if _potential(rec, c) < n * rec.scale:
         return False
+    return None
+
+
+def _pre_search(g: Graph, c: Config, t: int, n: int) -> SolveResult | None:
+    """The opening of both exact deciders, after checking the instance:
+    solved with no steps when c(t) >= n, unsolvable when the potential is
+    below n, solved by the greedy's steps when it reaches n; None when
+    only a search can tell."""
+    _check_instance(g, c, t, n)
+    if c[t] >= n:
+        return SolveResult(True, (), c)
+    rec = _target(g, t)
+    if _potential(rec, c) < n * rec.scale:
+        return SolveResult(False)
+    steps = _greedy_steps(g, c, t, n)
+    if steps is not None:
+        return SolveResult(True, steps, replay(g, c, steps))
     return None
 
 
 def is_solvable(g: Graph, c: Config, t: int, n: int) -> SolveResult:
     """Complete decision of n-fold t-solvability with a replayable witness.
 
-    The greedy concentration answers first when it succeeds; otherwise
-    steps are explored in (from, to) sorted edge order, so the first
-    witness found is deterministic.
+    The shared opening (``_pre_search``) answers first when it can;
+    otherwise steps are explored in (from, to) sorted edge order, so the
+    first witness found is deterministic.
     """
-    _check_instance(g, c, t, n)
-    if c[t] >= n:
-        return SolveResult(True, (), c)
-    scale, weight = g.potential_weights(t)
-    bound = n * scale
-    pot = _potential(g, c, t)
-    if pot < bound:
-        return SolveResult(False)
-    steps = _greedy_steps(g, c, t, n)
-    if steps is not None:
-        return SolveResult(True, steps, replay(g, c, steps))
-    # Each edge with the fixed amount its step takes off the potential.
-    edges = [(u, v, w, w * weight[u] - weight[v]) for u, v, w in g.edges]
+    opening = _pre_search(g, c, t, n)
+    if opening is not None:
+        return opening
+    rec = _target(g, t)
+    edges = rec.edges
+    bound = n * rec.scale
     failed: set[Config] = set()
     # Depth-first over steps in edge order with an explicit stack of
     # [configuration, potential, next edge index]; path holds the steps
     # from c to the top frame.  A configuration whose subtree fails, or
     # that the potential prunes, joins ``failed``.
-    stack = [[c, pot, 0]]
+    stack = [[c, _potential(rec, c), 0]]
     path: list[Step] = []
     m = len(edges)
     while stack:
@@ -278,7 +334,7 @@ def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config |
         return w
     # A vertex that cannot reach t delivers nothing: cost p + 1 bounds
     # nothing within size p.
-    cost = tuple(p + 1 if cv is None else cv for cv in g.cost_to(t))
+    cost = tuple(p + 1 if cv is None else cv for cv in _target(g, t).cost)
     chunks = [(g, t, n, p, cost, first) for first in range(min(p + 1, n * cost[0]))]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -293,16 +349,7 @@ def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config |
     return None
 
 
-def _size_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("PEBBLE_SIZE_CAP")
-    return int(env) if env else 10_000
-
-
-def pebbling_number(
-    g: Graph, t: int, n: int = 1, jobs: int = 1, size_cap: int | None = None
-) -> PebblingNumber:
+def pebbling_number(g: Graph, t: int, n: int = 1, jobs: int = 1) -> PebblingNumber:
     """Smallest p such that every size-p configuration is n-fold
     t-solvable, with a size-(p-1) unsolvable witness.
 
@@ -312,18 +359,14 @@ def pebbling_number(
     _check_instance(g, None, t, n)
     if n < 1:
         raise PebblingError("need n >= 1")
-    cost = g.cost_to(t)
-    if any(cv is None for cv in cost):
+    if None in _target(g, t).cost:
         raise PebblingError(f"target {t} is not reachable from every vertex")
-    cap = _size_cap(size_cap)
     # Singleton witnesses cover all sizes up to #V + n - 2.
     p = g.vertex_count + n - 1
     witness = _singleton_witness(g, t, n, p - 1)
     if g.vertex_count == 1:
         return PebblingNumber(n, (n - 1,))
     while True:
-        if p > cap:
-            raise SearchCapExceeded(f"pebbling number search passed cap {cap}")
         hit = find_unsolvable(g, t, n, p, jobs=jobs)
         if hit is None:
             return PebblingNumber(p, witness)
@@ -331,12 +374,9 @@ def pebbling_number(
         p += 1
 
 
-def pebbling_number_graph(g: Graph, jobs: int = 1, size_cap: int | None = None) -> int:
+def pebbling_number_graph(g: Graph, jobs: int = 1) -> int:
     """pi(G): the largest 1-fold pebbling number over all targets."""
-    return max(
-        pebbling_number(g, t, 1, jobs=jobs, size_cap=size_cap).value
-        for t in range(g.vertex_count)
-    )
+    return max(pebbling_number(g, t, 1, jobs=jobs).value for t in range(g.vertex_count))
 
 
 def _odd_count(c: Config) -> int:
@@ -377,7 +417,7 @@ def has_2pp(g: Graph, pi: int, variant: str = "support", jobs: int = 1):
 
 def _tau_subconfig_exists(g: Graph, c: Config, t: int, n: int, k: int, m: int) -> bool:
     """Is there c* within c, n-fold t-solvable, with r_k(c - c*) >= m?"""
-    cost = g.cost_to(t)
+    cost = _target(g, t).cost
 
     def residual_ok(cstar: Config) -> bool:
         return configs.reduced_size(tuple(a - b for a, b in zip(c, cstar)), k) >= m
@@ -428,13 +468,12 @@ def verify_tau(g: Graph, t: int, n: int, k: int, p: int, m_max: int) -> bool:
     return True
 
 
-def optimal_pebbling_number(g: Graph, size_cap: int | None = None):
+def optimal_pebbling_number(g: Graph):
     """Smallest configuration size solvable for every target, with one
-    such configuration as witness."""
-    cap = _size_cap(size_cap)
+    such configuration as witness.  The sizes stop at #V: one pebble on
+    every vertex solves every target."""
     targets = range(g.vertex_count)
-    for s in range(0, cap + 1):
+    for s in range(g.vertex_count + 1):
         for c in enumerate_configs(g.vertex_count, s):
             if not any(_unsolvable(g, c, t, 1) for t in targets):
                 return s, c
-    raise SearchCapExceeded(f"optimal pebbling search passed cap {cap}")

@@ -264,6 +264,11 @@ TAU = ["--n", "1", "--k", "2", "--p", "3", "--m-max", "1"]
         ["zerosum", "--n", "4", "--seq", "1,2", "--divisors"],
         ["erdos-lemke", "--n", "6", "--d", "3", "--seq", "2,y"],
         ["erdos-lemke", "--n", "6", "--d", "3", "--seq", ""],
+        # --family, read as another graph before descriptors were strict
+        ["pi", "--family", "petersen:3", "--target", "0"],
+        ["pi", "--family", "lemke:9", "--target", "0"],
+        ["pi", "--family", "path:3:2x", "--target", "0"],
+        ["pi", "--family", "path:3:2 x x cycle:3:2", "--target", "0"],
     ],
 )
 def test_malformed_input_gives_one_error_line(capsys, argv):

@@ -241,6 +241,15 @@ def test_box_scan_pins_cycle_witness():
     # box scan at p = 21 must find nothing.
     out = pebbling_number(cycle_graph(9), 0)
     assert (out.value, out.witness_unsolvable) == (21, (0, 0, 0, 0, 9, 11, 0, 0, 0))
+    # Other graphs and targets: pi is #V, so the box scan at p = pi must
+    # find nothing, and the witness is the singleton one.
+    for family, t, value, witness in [
+        ("petersen", 0, 10, (0, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+        *(("lemke", t, 8, tuple(int(v != t) for v in range(8))) for t in range(8)),
+        ("hypercube:2:2:2", 0, 8, (0, 1, 1, 1, 1, 1, 1, 1)),
+    ]:
+        out = pebbling_number(make_family(family), t)
+        assert (out.value, out.witness_unsolvable) == (value, witness), (family, t)
 
 
 def test_2pp_counterexample_independent_of_jobs():
@@ -280,3 +289,28 @@ def test_greedy_replays_and_deciders_agree(instance):
     assert out.solvable == (solve_via_flow(g, c, t, n) is not None)
     if out.solvable:
         assert replay(g, c, out.witness) == out.final and out.final[t] >= n
+
+
+@st.composite
+def deliverable_instances(draw):
+    """A random digraph on 2-6 vertices with weights 2-5, a configuration
+    of up to 60 pebbles, and n at most what independent delivery reaches."""
+    nv = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(nv) for v in range(nv) if u != v]
+    weights = draw(
+        st.lists(st.sampled_from((0, 2, 3, 4, 5)), min_size=len(pairs), max_size=len(pairs))
+    )
+    g = Graph(nv, tuple((u, v, w) for (u, v), w in zip(pairs, weights) if w))
+    c = tuple(draw(st.lists(st.integers(0, 10), min_size=nv, max_size=nv)))
+    t = draw(st.integers(0, nv - 1))
+    delivered = sum(x // cv for x, cv in zip(c, g.cost_to(t)) if cv)
+    return g, c, t, draw(st.integers(min(1, delivered), delivered))
+
+
+@settings(max_examples=300, deadline=None)
+@given(deliverable_instances())
+def test_greedy_does_no_worse_than_independent_delivery(instance):
+    g, c, t, n = instance
+    steps = _greedy_steps(g, c, t, n)
+    assert steps is not None
+    assert replay(g, c, steps)[t] >= n

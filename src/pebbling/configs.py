@@ -92,23 +92,33 @@ def enumerate_configs(vertex_count: int, total: int) -> Iterator[Config]:
     yield from bounded_configs(total, (1,) * vertex_count, total)
 
 
-def bounded_configs(total: int, cost: tuple[int, ...], budget: int) -> Iterator[Config]:
+def bounded_configs(
+    total: int, cost: tuple[int, ...], budget: int, q_lo: int = 0, q_hi: int | None = None
+) -> Iterator[Config]:
     """Size-``total`` configurations c on len(cost) vertices with
-    sum(c[v] // cost[v]) <= budget, lexicographically ascending.
+    sum(c[v] // cost[v]) <= budget and support count in [q_lo, q_hi]
+    (q_hi None: no upper limit), lexicographically ascending.
 
     Costs are positive.  Iterative depth-first walk: a prefix is cut when
-    it spends more than the budget, or when the remaining vertices cannot
+    it spends more than the budget, when the remaining vertices cannot
     hold the remaining pebbles (at most sum(cost - 1) + budget * max cost
-    of them)."""
+    of them), or when no completion has its support in the window (the
+    pebbles left occupy at least one and at most min(vertices left,
+    pebbles left) more vertices)."""
     k = len(cost)
     last = k - 1
+    if q_hi is None:
+        q_hi = k
+    windowed = q_lo > 0 or q_hi < k
     # free[j], top[j]: sum(cost - 1) and max cost over vertices j.. .
     free = [0] * (k + 1)
     top = [0] * (k + 1)
     for j in range(last, -1, -1):
         free[j] = free[j + 1] + cost[j] - 1
         top[j] = max(top[j + 1], cost[j])
-    if budget < 0 or total > free[0] + budget * top[0]:
+    if budget < 0 or not 0 <= total <= free[0] + budget * top[0]:
+        return
+    if q_lo > min(q_hi, k, total) or (total > 0) > q_hi:
         return
     if k == 0:
         yield ()
@@ -116,6 +126,7 @@ def bounded_configs(total: int, cost: tuple[int, ...], budget: int) -> Iterator[
     c = [0] * k
     rem = [0] * k  # pebbles left for vertices j..
     left = [0] * k  # budget left for vertices j..
+    held = [0] * k  # support count of vertices ..j-1
     rem[0] = total
     left[0] = budget
     j = 0
@@ -136,10 +147,20 @@ def bounded_configs(total: int, cost: tuple[int, ...], budget: int) -> Iterator[
             spent = x // cj
             if spent > b:
                 x = r + 1
-            elif r - x <= cap_free + (b - spent) * cap_top:
+            elif r - x > cap_free + (b - spent) * cap_top:
+                x += 1
+            elif not windowed:
                 break
             else:
-                x += 1
+                q = held[j] + (x > 0)
+                if q + (x < r) > q_hi:
+                    # x = 0 or r fills one more vertex, 0 < x < r two.
+                    x = r if 0 < x < r else r + 1
+                elif q + min(last - j, r - x) < q_lo:
+                    # Past x = 1, a larger x only leaves fewer pebbles.
+                    x = x + 1 if x == 0 else r + 1
+                else:
+                    break
         if x > r:
             j -= 1
             if j < 0:
@@ -149,6 +170,7 @@ def bounded_configs(total: int, cost: tuple[int, ...], budget: int) -> Iterator[
         c[j] = x
         rem[j + 1] = r - x
         left[j + 1] = b - x // cj
+        held[j + 1] = held[j] + (x > 0)
         j += 1
         x = 0
 
@@ -159,11 +181,7 @@ def enumerate_configs_with_support(
     """Configurations of the exact size whose support has exactly the given
     number of vertices, lexicographically ascending; none for a negative
     size."""
-    if total < 0:
-        return
-    for c in bounded_configs(total, (1,) * vertex_count, total):
-        if support_count(c) == support_size:
-            yield c
+    yield from bounded_configs(total, (1,) * vertex_count, total, support_size, support_size)
 
 
 def config_from_pairs(vertex_count: int, pairs) -> Config:

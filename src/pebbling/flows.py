@@ -90,43 +90,50 @@ def realize(g: Graph, f: PebbleFlow) -> tuple[tuple[Step, ...], Config]:
     configuration dominates the flow's excess.
 
     While some vertex holds fewer pebbles than its excess demands, a
-    vertex with remaining inflow below remaining outflow must exist; its
-    minimum-weight remaining outflow edge fires.  Every fired step keeps
-    the excess (with respect to the remaining flow) unchanged, and cyclic
-    remainders are simply never fired.
+    vertex with remaining inflow below remaining outflow must exist; the
+    lowest-id such vertex fires its minimum (weight, head) remaining
+    outflow edge.  Every fired step keeps the excess (with respect to the
+    remaining flow) unchanged, and cyclic remainders are simply never
+    fired.  A step costs O(V): the remaining in- and outflow counts, the
+    out-edges still to fire (largest (weight, head) first, so the next is
+    last) and the number of vertices below their excess are kept as state.
     """
     if f.graph is not g:
         f = PebbleFlow(g, f.config, f.flow)
-    if not is_feasible(f):
-        raise PebblingError("cannot realize an infeasible flow")
     target_excess = f.excess_vector()
+    if any(x < 0 for x in target_excess):
+        raise PebblingError("cannot realize an infeasible flow")
+    nv = g.vertex_count
     work = list(f.config)
-    remaining = dict(f.flow)
+    remaining = {e: count for e, count in f.flow.items() if count}
+    inflow = [0] * nv
+    outflow = [0] * nv
+    outs: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    for (u, v), count in remaining.items():
+        outflow[u] += count
+        inflow[v] += count
+        outs[u].append((g.weight(u, v), v))
+    for row in outs:
+        row.sort(reverse=True)
+    below = sum(1 for w, x in zip(work, target_excess) if w < x)
     steps: list[Step] = []
-    while any(w < x for w, x in zip(work, target_excess)):
-        fired = False
-        for w in range(g.vertex_count):
-            inflow = sum(remaining.get((u, w), 0) for u, _, _ in g.in_edges[w])
-            out_edges = [
-                (wt, v)
-                for _, v, wt in g.out_edges[w]
-                if remaining.get((w, v), 0) > 0
-            ]
-            if inflow >= sum(
-                remaining.get((w, v), 0) for _, v, _ in g.out_edges[w]
-            ) or not out_edges:
-                continue
-            wt, v = min(out_edges)
-            if work[w] < wt:
-                raise PebblingError("flow is not realizable step by step")
-            work[w] -= wt
-            work[v] += 1
-            remaining[(w, v)] -= 1
-            steps.append((w, v))
-            fired = True
-            break
-        if not fired:
+    while below:
+        u = next((w for w in range(nv) if inflow[w] < outflow[w]), None)
+        if u is None:
             raise PebblingError("no fireable vertex found; flow inconsistent")
+        wt, v = outs[u][-1]
+        if work[u] < wt:
+            raise PebblingError("flow is not realizable step by step")
+        for x, delta in ((u, -wt), (v, 1)):
+            below -= work[x] < target_excess[x]
+            work[x] += delta
+            below += work[x] < target_excess[x]
+        outflow[u] -= 1
+        inflow[v] -= 1
+        remaining[(u, v)] -= 1
+        if not remaining[(u, v)]:
+            outs[u].pop()
+        steps.append((u, v))
     return tuple(steps), tuple(work)
 
 

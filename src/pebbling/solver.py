@@ -22,17 +22,23 @@ Positive answers carry a step list that replays to the reported final
 configuration; the greedy concentration in ``_greedy_steps`` supplies most
 of them.  Both exact deciders, ``is_solvable`` here and
 ``flows.solve_via_flow``, open with the same ``_pre_search`` step.
+
+The exhaustive walks (``configs.bounded_configs``) visit only what can
+change their answer: the pi scan and the 2PP check walk t's box
+sum(c(v) // cost(v)) < n, outside which independent delivery solves c, and
+the 2PP check and ``verify_tau`` cut the walk to a support-size window.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import configs
-from .configs import Config, bounded_configs, enumerate_configs, support_count
+from .configs import Config, bounded_configs, enumerate_configs
 from .errors import PebblingError
 from .graphs import Graph
 
@@ -379,71 +385,70 @@ def pebbling_number_graph(g: Graph, jobs: int = 1) -> int:
     return max(pebbling_number(g, t, 1, jobs=jobs).value for t in range(g.vertex_count))
 
 
-def _odd_count(c: Config) -> int:
-    return sum(1 for x in c if x % 2 == 1)
-
-
 def has_2pp(g: Graph, pi: int, variant: str = "support", jobs: int = 1):
     """Check the 2-pebbling property.
 
     ``variant`` selects how q is counted: ``support`` (vertices with at
     least one pebble) or ``odd`` (vertices with an odd count).  All
-    configurations with size in [2*pi - q + 1, pi2_max) are checked, where
+    configurations with size s in [2*pi - q + 1, pi2_max) are checked, where
     pi2_max is the largest brute-forced 2-fold pebbling number; larger
-    configurations are 2-solvable regardless.
+    configurations are 2-solvable regardless.  At each s, each target's
+    box (fewer than 2 pebbles deliverable) is walked in the support window
+    q >= 2*pi + 1 - s, which also holds the ``odd`` variant's
+    configurations (odd counts are at most the support) for its own
+    filter; merged on (c, t), the walks give the first counterexample in
+    (s, c, t) order.
     """
     if variant not in ("support", "odd"):
         raise PebblingError(f"unknown 2PP variant {variant!r}")
     if pi < 1:
         raise PebblingError(f"pebbling number must be >= 1, got {pi}")
-    count_q = support_count if variant == "support" else _odd_count
     nv = g.vertex_count
     if nv == 1:
         return True, None
     pi2_max = max(
         pebbling_number(g, t, 2, jobs=jobs).value for t in range(nv)
     )
-    lo = max(2 * pi - nv + 1, 0)
-    for s in range(lo, pi2_max):
-        for c in enumerate_configs(nv, s):
-            q = count_q(c)
-            if s < 2 * pi - q + 1:
+    for s in range(max(2 * pi - nv + 1, 0), pi2_max):
+        # pebbling_number has checked that every cost is finite.
+        boxes = [
+            zip(bounded_configs(s, _target(g, t).cost, 1, 2 * pi + 1 - s), itertools.repeat(t))
+            for t in range(nv)
+        ]
+        for c, t in heapq.merge(*boxes):
+            if variant == "odd" and s < 2 * pi - sum(x % 2 for x in c) + 1:
                 continue
-            for t in range(nv):
-                if _unsolvable(g, c, t, 2):
-                    return False, (c, t)
+            if _unsolvable(g, c, t, 2):
+                return False, (c, t)
     return True, None
 
 
-def _tau_subconfig_exists(g: Graph, c: Config, t: int, n: int, k: int, m: int) -> bool:
-    """Is there c* within c, n-fold t-solvable, with r_k(c - c*) >= m?"""
+def _tau_subconfig_exists(
+    g: Graph, c: Config, t: int, n: int, k: int, m: int, s: int, q: int
+) -> bool:
+    """Is there c* within c, n-fold t-solvable, with r_k(c - c*) >= m?
+    s and q are the size and support count of c."""
     cost = _target(g, t).cost
-
-    def residual_ok(cstar: Config) -> bool:
-        return configs.reduced_size(tuple(a - b for a, b in zip(c, cstar)), k) >= m
-
     # Fast path: n*cost(v) pebbles taken from one vertex, optionally with
-    # the target's own pebbles counted first.
+    # the target's own pebbles counted first.  The residual's size drops by
+    # the pebbles taken and its support by the vertices emptied, so its
+    # reduced size needs no tuple.
     need_t = min(c[t], n)
-    if need_t == n:
-        cstar = tuple(need_t if v == t else 0 for v in range(g.vertex_count))
-        if residual_ok(cstar):
-            return True
+    if need_t == n and s - n - (k - 1) * (q - (0 < n == c[t]) - 1) >= m:
+        return True
     for v in range(g.vertex_count):
         if v == t or cost[v] is None:
             continue
         for use_t in (need_t, 0):
             amount = (n - use_t) * cost[v]
             if c[v] >= amount:
-                cstar = tuple(
-                    amount if u == v else (use_t if u == t else 0)
-                    for u in range(g.vertex_count)
-                )
-                if residual_ok(cstar):
+                emptied = (0 < amount == c[v]) + (0 < use_t == c[t])
+                if s - amount - use_t - (k - 1) * (q - emptied - 1) >= m:
                     return True
     # Complete fallback: every subconfiguration, largest counts first.
     for cstar in itertools.product(*(range(x, -1, -1) for x in c)):
-        if residual_ok(cstar) and not _unsolvable(g, cstar, t, n):
+        residual = tuple(a - b for a, b in zip(c, cstar))
+        if configs.reduced_size(residual, k) >= m and not _unsolvable(g, cstar, t, n):
             return True
     return False
 
@@ -454,16 +459,19 @@ def verify_tau(g: Graph, t: int, n: int, k: int, p: int, m_max: int) -> bool:
     n-fold t-solvable subconfiguration whose residual keeps k-reduced size
     at least m.  A True result certifies the bound up to m_max only.
 
-    Each configuration has one m = |c| + s#(c) - p - 1, so one walk over
-    the sizes max(p + 1 - #V, 0) .. p + 1 + m_max covers every (m, c)."""
+    Each configuration has one m = |c| + s#(c) - p - 1, so one walk per
+    size s in max(p + 1 - #V, 0) .. p + 1 + m_max, with the support window
+    s# in [p + 1 - s, p + 1 + m_max - s] (that is 0 <= m <= m_max), covers
+    every (m, c) and nothing else."""
     _check_instance(g, None, t, n)
     if m_max < 0 or k < 1:
         raise PebblingError("need m_max >= 0, k >= 1")
     nv = g.vertex_count
+    ones = (1,) * nv
     for s in range(max(p + 1 - nv, 0), p + 2 + m_max):
-        for c in enumerate_configs(nv, s):
-            m = s + support_count(c) - p - 1
-            if 0 <= m <= m_max and not _tau_subconfig_exists(g, c, t, n, k, m):
+        for c in bounded_configs(s, ones, s, p + 1 - s, p + 1 + m_max - s):
+            q = nv - c.count(0)
+            if not _tau_subconfig_exists(g, c, t, n, k, s + q - p - 1, s, q):
                 return False
     return True
 

@@ -11,6 +11,7 @@ the gcd-weighted variant, and the general divisors-of-n statement.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from math import gcd
 
 from .errors import PebblingError
@@ -115,10 +116,15 @@ def pebbling_construction(
     return state.queues[t][0]
 
 
+# One frozen lattice per n, so every replay reuses its per-target record.
+_lattice = lru_cache(maxsize=16)(divisor_lattice)
+
+
 def _lattice_solution(n: int, counts_by_divisor: dict[int, int]):
-    """Graph, target and step sequence delivering a pebble to vertex n of
-    the divisor lattice from the given per-divisor pebble counts."""
-    g = divisor_lattice(n)
+    """Graph, divisor -> vertex index, target and step sequence delivering
+    a pebble to vertex n of the divisor lattice from the given per-divisor
+    pebble counts."""
+    g = _lattice(n)
     index = {d: i for i, d in enumerate(g.labels)}
     c = [0] * g.vertex_count
     for d, count in counts_by_divisor.items():
@@ -131,7 +137,7 @@ def _lattice_solution(n: int, counts_by_divisor: dict[int, int]):
             "must be solvable"
         )
     steps, _ = realize(g, flow)
-    return g, t, steps
+    return g, index, t, steps
 
 
 def divisor_zero_sum(n: int, divisors: list[int]) -> IndexSet:
@@ -151,8 +157,7 @@ def divisor_zero_sum(n: int, divisors: list[int]) -> IndexSet:
     counts: dict[int, int] = {}
     for a in divisors:
         counts[a] = counts.get(a, 0) + 1
-    g, t, steps = _lattice_solution(n, counts)
-    index = {d: i for i, d in enumerate(g.labels)}
+    g, index, t, steps = _lattice_solution(n, counts)
     placements = {i + 1: index[a] for i, a in enumerate(divisors)}
 
     def combiner(u, v, sets):
@@ -186,8 +191,7 @@ def gcd_zero_sum(n: int, seq: list[int]) -> IndexSet:
     counts: dict[int, int] = {}
     for d in gcds:
         counts[d] = counts.get(d, 0) + 1
-    g, t, steps = _lattice_solution(n, counts)
-    index = {d: i for i, d in enumerate(g.labels)}
+    g, index, t, steps = _lattice_solution(n, counts)
     placements = {i + 1: index[d] for i, d in enumerate(gcds)}
 
     def combiner(u, v, sets):

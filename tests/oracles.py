@@ -320,3 +320,73 @@ def tau_oracle(g: Graph, t: int, n: int, k: int, p: int, m_max: int) -> bool:
             if sum(c) + sum(1 for x in c if x) == top and not has_good_part(c, m):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Flow realization and the 2-pebbling property, as plain loops.
+#
+# These are the straightforward formulations the package's versions were
+# optimised from: ``realize_oracle`` rescans every vertex's in- and
+# out-edges on each step, and ``two_pp_oracle`` decides every (c, t) pair
+# of every size in the 2PP window, target by target, in (s, c, t) order.
+
+
+def realize_oracle(g: Graph, f):
+    from pebbling.errors import PebblingError
+    from pebbling.flows import PebbleFlow, is_feasible
+
+    if f.graph is not g:
+        f = PebbleFlow(g, f.config, f.flow)
+    if not is_feasible(f):
+        raise PebblingError("cannot realize an infeasible flow")
+    target_excess = f.excess_vector()
+    work = list(f.config)
+    remaining = dict(f.flow)
+    steps = []
+    while any(w < x for w, x in zip(work, target_excess)):
+        fired = False
+        for w in range(g.vertex_count):
+            inflow = sum(remaining.get((u, w), 0) for u, _, _ in g.in_edges[w])
+            out_edges = [
+                (wt, v)
+                for _, v, wt in g.out_edges[w]
+                if remaining.get((w, v), 0) > 0
+            ]
+            if inflow >= sum(
+                remaining.get((w, v), 0) for _, v, _ in g.out_edges[w]
+            ) or not out_edges:
+                continue
+            wt, v = min(out_edges)
+            if work[w] < wt:
+                raise PebblingError("flow is not realizable step by step")
+            work[w] -= wt
+            work[v] += 1
+            remaining[(w, v)] -= 1
+            steps.append((w, v))
+            fired = True
+            break
+        if not fired:
+            raise PebblingError("no fireable vertex found; flow inconsistent")
+    return tuple(steps), tuple(work)
+
+
+def two_pp_oracle(g: Graph, pi: int, variant: str = "support"):
+    from pebbling.configs import enumerate_configs, support_count
+    from pebbling.solver import _unsolvable, pebbling_number
+
+    def odd_count(c) -> int:
+        return sum(1 for x in c if x % 2 == 1)
+
+    count_q = support_count if variant == "support" else odd_count
+    nv = g.vertex_count
+    if nv == 1:
+        return True, None
+    pi2_max = max(pebbling_number(g, t, 2).value for t in range(nv))
+    for s in range(max(2 * pi - nv + 1, 0), pi2_max):
+        for c in enumerate_configs(nv, s):
+            if s < 2 * pi - count_q(c) + 1:
+                continue
+            for t in range(nv):
+                if _unsolvable(g, c, t, 2):
+                    return False, (c, t)
+    return True, None

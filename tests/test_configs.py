@@ -93,8 +93,12 @@ def test_enumerate_counts():
     st.lists(st.integers(1, 9), min_size=1, max_size=5),
     st.integers(0, 4),
     st.integers(0, 14),
+    st.integers(-2, 7),
+    st.one_of(st.none(), st.integers(-2, 7)),
 )
-def test_bounded_configs_is_the_filtered_enumeration(cost, n, p):
+def test_bounded_configs_is_the_filtered_enumeration(cost, n, p, q_lo, q_hi):
+    # The window may be empty (q_lo > q_hi) or lie partly or wholly
+    # outside 0..len(cost).
     cost = tuple(cost)
     expected = [
         c
@@ -102,6 +106,9 @@ def test_bounded_configs_is_the_filtered_enumeration(cost, n, p):
         if sum(x // w for x, w in zip(c, cost)) < n
     ]
     assert list(bounded_configs(p, cost, n - 1)) == expected
+    hi = len(cost) if q_hi is None else q_hi
+    windowed = [c for c in expected if q_lo <= support_count(c) <= hi]
+    assert list(bounded_configs(p, cost, n - 1, q_lo, q_hi)) == windowed
 
 
 def test_enumerate_with_support_partitions_by_support():

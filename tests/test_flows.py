@@ -2,6 +2,7 @@ import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pebbling.errors import PebblingError
 from pebbling.flows import (
@@ -16,6 +17,7 @@ from pebbling.flows import (
     unidirectional,
 )
 from pebbling.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     divisor_lattice,
@@ -23,7 +25,7 @@ from pebbling.graphs import (
     path_graph,
 )
 from pebbling.solver import is_solvable, replay
-from oracles import random_config, random_connected_graph, random_legal_steps
+from oracles import random_config, random_connected_graph, random_legal_steps, realize_oracle
 
 
 def test_excess_is_final_count():
@@ -147,3 +149,44 @@ def test_solve_via_flow_with_lp_agrees():
         pruned = solve_via_flow(g, c, t, 1, use_lp=True)
         assert (plain is None) == (pruned is None)
         assert (plain is None) == (not is_solvable(g, c, t, 1).solvable)
+
+
+@st.composite
+def feasible_flows(draw):
+    """A graph and a feasible flow.  Either ``solve_via_flow``'s flow on
+    the divisor lattice of some n <= 120 with n pebbles on random divisors
+    and the target n (always solvable), or on a random digraph with 2-6
+    vertices, weights 2-4, up to 12 pebbles per vertex and n in 1..3; or
+    the counted steps of a random legal sequence on such a digraph, where
+    a vertex often fires several out-edges."""
+    kind = draw(st.sampled_from(("lattice", "solved", "steps")))
+    if kind == "lattice":
+        n = draw(st.integers(1, 120))
+        g = divisor_lattice(n)
+        nv = g.vertex_count
+        counts = [0] * nv
+        for v in draw(st.lists(st.integers(0, nv - 1), min_size=n, max_size=n)):
+            counts[v] += 1
+        f = solve_via_flow(g, tuple(counts), nv - 1, 1)
+        return g, f
+    nv = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(nv) for v in range(nv) if u != v]
+    weights = draw(
+        st.lists(st.sampled_from((0, 2, 3, 4)), min_size=len(pairs), max_size=len(pairs))
+    )
+    g = Graph(nv, tuple((u, v, w) for (u, v), w in zip(pairs, weights) if w))
+    c = tuple(draw(st.lists(st.integers(0, 12), min_size=nv, max_size=nv)))
+    if kind == "steps":
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        steps, _ = random_legal_steps(rng, g, c, draw(st.integers(0, 20)))
+        return g, flow_from_steps(g, c, steps)
+    f = solve_via_flow(g, c, draw(st.integers(0, nv - 1)), draw(st.integers(1, 3)))
+    assume(f is not None)
+    return g, f
+
+
+@settings(max_examples=300, deadline=None)
+@given(feasible_flows())
+def test_realize_matches_the_plain_loop(instance):
+    g, f = instance
+    assert realize(g, f) == realize_oracle(g, f)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from pebbling.graphs import (
 )
 from pebbling.solver import (
     _greedy_steps,
+    _tau_subconfig_exists,
     apply_step,
     find_unsolvable,
     has_2pp,
@@ -30,7 +32,7 @@ from pebbling.solver import (
     replay,
     verify_tau,
 )
-from oracles import random_config, random_connected_graph, tau_oracle
+from oracles import random_config, random_connected_graph, tau_oracle, two_pp_oracle
 
 
 def test_apply_step_basics():
@@ -175,6 +177,28 @@ def test_verify_tau_matches_brute_force():
     assert True in answers and False in answers
 
 
+def test_tau_subconfig_matches_every_subconfiguration():
+    # The fast path's O(1) residual sizes against trying every c* <= c.
+    rng = random.Random(5)
+    families = ("path:2:2", "path:3:2", "cycle:4:2", "star:3:2", "arrow:2", "hypercube:2:3")
+    answers = []
+    for _ in range(400):
+        g = make_family(rng.choice(families))
+        c = random_config(rng, g.vertex_count, rng.randint(0, 9))
+        t = rng.randrange(g.vertex_count)
+        n, k, m = rng.randint(0, 2), rng.randint(1, 3), rng.randint(-1, 8)
+        expected = any(
+            sum(c) - sum(cs) - (k - 1) * (sum(a > b for a, b in zip(c, cs)) - 1) >= m
+            and is_solvable(g, cs, t, n).solvable
+            for cs in itertools.product(*(range(x + 1) for x in c))
+        )
+        q = sum(1 for x in c if x)
+        answer = _tau_subconfig_exists(g, c, t, n, k, m, sum(c), q)
+        assert answer == expected, (g.name, c, t, n, k, m)
+        answers.append(answer)
+    assert True in answers and False in answers
+
+
 def test_optimal_pebbling():
     assert optimal_pebbling_number(path_graph(3))[0] == 2
     size, c = optimal_pebbling_number(cycle_graph(5))
@@ -257,6 +281,57 @@ def test_2pp_counterexample_independent_of_jobs():
     one = has_2pp(g, 8, jobs=1)
     assert not one[0]
     assert has_2pp(g, 8, jobs=2) == one
+
+
+def _strong_digraph(rng, nv):
+    """A random strongly connected digraph: a directed cycle through all
+    vertices plus random extra arcs, each arc of weight 2 or 3."""
+    order = rng.sample(range(nv), nv)
+    arcs = {(order[i], order[(i + 1) % nv]) for i in range(nv)}
+    for _ in range(rng.randint(0, nv * (nv - 1))):
+        arcs.add(tuple(rng.sample(range(nv), 2)))
+    return Graph(nv, tuple((u, v, rng.choice((2, 3))) for u, v in sorted(arcs)))
+
+
+def test_2pp_matches_every_pair_loop():
+    # The per-target box walks, merged on (c, t), give the plain loop's
+    # answer and first counterexample.  Graphs with a cost above 8 are
+    # skipped to keep the plain loop quick; pi is the true pebbling number
+    # or one less, so both outcomes occur.
+    rng = random.Random(77)
+    outcomes = set()
+    tried = 0
+    while tried < 80:
+        g = _strong_digraph(rng, rng.randint(2, 6))
+        if max(max(g.cost_to(t)) for t in range(g.vertex_count)) > 8:
+            continue
+        tried += 1
+        pi = pebbling_number_graph(g) - rng.randint(0, 1)
+        for variant in ("support", "odd"):
+            answer = has_2pp(g, pi, variant)
+            assert answer == two_pp_oracle(g, pi, variant), (g, pi, variant)
+            outcomes.add(answer[0])
+    assert outcomes == {True, False}
+
+
+def test_2pp_pins_named_graphs():
+    # Answers of the plain loop over every (c, t) pair (two_pp_oracle);
+    # Lemke at jobs=2 is test_2pp_counterexample_independent_of_jobs.
+    lemke_fails = {
+        "support": (False, ((0, 0, 0, 1, 1, 1, 1, 8), 0)),
+        "odd": (False, ((0, 0, 0, 1, 1, 1, 1, 9), 0)),
+    }
+    for family, pi in [
+        ("lemke", 8),
+        ("cycle:6:2", 8),
+        ("cycle:7:2", 11),
+        ("grid:3:2:2:2", 8),
+        ("hypercube:2:2:2", 8),
+    ]:
+        g = make_family(family)
+        for variant in ("support", "odd"):
+            expected = lemke_fails[variant] if family == "lemke" else (True, None)
+            assert has_2pp(g, pi, variant) == expected, (family, variant)
 
 
 @st.composite

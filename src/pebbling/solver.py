@@ -392,12 +392,19 @@ def has_2pp(g: Graph, pi: int, variant: str = "support", jobs: int = 1):
     least one pebble) or ``odd`` (vertices with an odd count).  All
     configurations with size s in [2*pi - q + 1, pi2_max) are checked, where
     pi2_max is the largest brute-forced 2-fold pebbling number; larger
-    configurations are 2-solvable regardless.  At each s, each target's
-    box (fewer than 2 pebbles deliverable) is walked in the support window
-    q >= 2*pi + 1 - s, which also holds the ``odd`` variant's
-    configurations (odd counts are at most the support) for its own
-    filter; merged on (c, t), the walks give the first counterexample in
-    (s, c, t) order.
+    configurations are 2-solvable regardless.
+
+    At each s, each target's box (fewer than 2 pebbles deliverable) is
+    walked in a support window, and the walks are merged on (c, t), so the
+    first counterexample is the first in (s, c, t) order.  The window is
+    narrow because every configuration of size s - 1 that the property
+    covers is already known solvable (below the first size none is), and
+    so is any c with a vertex v such that c - e_v is: a pebble more never
+    hurts.  What is left is the lower edge q = 2*pi + 1 - s plus the 0/1
+    configurations of size pi + 1 (``support``), or the configurations
+    whose 2*pi + 2 - s occupied vertices all hold odd counts (``odd``:
+    taking a pebble off an even count raises the odd count, and an odd
+    count of 2*pi + 1 - s has the wrong parity for size s).
     """
     if variant not in ("support", "odd"):
         raise PebblingError(f"unknown 2PP variant {variant!r}")
@@ -410,13 +417,19 @@ def has_2pp(g: Graph, pi: int, variant: str = "support", jobs: int = 1):
         pebbling_number(g, t, 2, jobs=jobs).value for t in range(nv)
     )
     for s in range(max(2 * pi - nv + 1, 0), pi2_max):
+        q = 2 * pi + 1 - s
+        if variant == "support":
+            window = (q, q + (s == pi + 1))
+        else:
+            q += 1
+            window = (q, q)
         # pebbling_number has checked that every cost is finite.
         boxes = [
-            zip(bounded_configs(s, _target(g, t).cost, 1, 2 * pi + 1 - s), itertools.repeat(t))
+            zip(bounded_configs(s, _target(g, t).cost, 1, *window), itertools.repeat(t))
             for t in range(nv)
         ]
         for c, t in heapq.merge(*boxes):
-            if variant == "odd" and s < 2 * pi - sum(x % 2 for x in c) + 1:
+            if variant == "odd" and sum(x % 2 for x in c) < q:
                 continue
             if _unsolvable(g, c, t, 2):
                 return False, (c, t)

@@ -3,8 +3,8 @@
 
 Computes pi(L, t) for every target, then scans the 2PP window for a
 counterexample: a configuration with 2*pi - q + 1 pebbles (q occupied
-vertices) from which some target cannot receive two pebbles.  Takes about
-1.2 s single-threaded on a 2-vCPU host.
+vertices) from which some target cannot receive two pebbles.  Takes
+0.5-1.2 s single-threaded on a 2-vCPU shared host, as its load varies.
 """
 
 import argparse

@@ -294,10 +294,10 @@ def _strong_digraph(rng, nv):
 
 
 def test_2pp_matches_every_pair_loop():
-    # The per-target box walks, merged on (c, t), give the plain loop's
-    # answer and first counterexample.  Graphs with a cost above 8 are
-    # skipped to keep the plain loop quick; pi is the true pebbling number
-    # or one less, so both outcomes occur.
+    # The per-target box walks on the lower edge of the 2PP window, merged
+    # on (c, t), give the plain loop's answer and first counterexample.
+    # Graphs with a cost above 8 are skipped to keep the plain loop quick;
+    # pi is the true pebbling number or one less, so both outcomes occur.
     rng = random.Random(77)
     outcomes = set()
     tried = 0

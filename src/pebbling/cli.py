@@ -160,7 +160,7 @@ def _given_pi(args, g: Graph) -> int:
 def _cmd_2pp(args) -> None:
     g = _load_graph(args)
     pi = _given_pi(args, g)
-    holds, ce = solver.has_2pp(g, pi, variant=args.variant, jobs=args.jobs)
+    holds, ce = solver.has_2pp(g, pi, variant=args.variant)
     if holds:
         _emit(args, "holds")
     else:

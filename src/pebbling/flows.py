@@ -218,14 +218,9 @@ def solve_via_flow(
 
     total = sum(c)
     dist = bfs_distances(g, t)
-    order = sorted(
-        range(len(g.edges)),
-        key=lambda i: (
-            dist[g.edges[i][1]] if dist[g.edges[i][1]] is not None else total,
-            g.edges[i],
-        ),
+    edges = sorted(
+        g.edges, key=lambda e: (dist[e[1]] if dist[e[1]] is not None else total, e)
     )
-    edges = [g.edges[i] for i in order]
     budget = total - n  # every flow unit on weight w destroys w - 1 pebbles
     if budget < 0:
         return None

@@ -402,19 +402,11 @@ def diameter(g: Graph) -> int | None:
     """Largest BFS distance (edge count) over all ordered pairs, or None
     if some vertex cannot reach another."""
     best = 0
-    adj = [[v for _, v, _ in g.out_edges[u]] for u in range(g.vertex_count)]
-    for s in range(g.vertex_count):
-        dist = [-1] * g.vertex_count
-        dist[s] = 0
-        queue = [s]
-        for u in queue:
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        if min(dist) < 0:
+    for t in range(g.vertex_count):
+        dist = bfs_distances(g, t)
+        if None in dist:
             return None
-        best = max(best, max(dist))
+        best = max(best, *dist)
     return best
 
 

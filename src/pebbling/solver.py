@@ -31,6 +31,8 @@ the 2PP check and ``verify_tau`` cut the walk to a support-size window.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import heapq
 import itertools
 import math
@@ -306,10 +308,9 @@ def _structured_witness(g: Graph, t: int, n: int, p: int) -> Config | None:
     return None
 
 
-def _scan_chunk(args):
+def _scan_chunk(g: Graph, t: int, n: int, p: int, cost: tuple[int, ...], first: int):
     """First unsolvable configuration with c[0] = first in the box (see
     ``find_unsolvable``), in lexicographic order."""
-    g, t, n, p, cost, first = args
     for rest in bounded_configs(p - first, cost[1:], n - 1 - first // cost[0]):
         c = (first,) + rest
         if _unsolvable(g, c, t, n):
@@ -341,18 +342,12 @@ def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config |
     # A vertex that cannot reach t delivers nothing: cost p + 1 bounds
     # nothing within size p.
     cost = tuple(p + 1 if cv is None else cv for cv in _target(g, t).cost)
-    chunks = [(g, t, n, p, cost, first) for first in range(min(p + 1, n * cost[0]))]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for hit in pool.map(_scan_chunk, chunks):
-                if hit is not None:
-                    return hit
-        return None
-    for chunk in chunks:
-        hit = _scan_chunk(chunk)
-        if hit is not None:
-            return hit
-    return None
+    scan = functools.partial(_scan_chunk, g, t, n, p, cost)
+    firsts = range(min(p + 1, n * cost[0]))
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
+    with pool:
+        hits = pool.map(scan, firsts) if jobs > 1 else map(scan, firsts)
+        return next((hit for hit in hits if hit is not None), None)
 
 
 def pebbling_number(g: Graph, t: int, n: int = 1, jobs: int = 1) -> PebblingNumber:
@@ -385,14 +380,13 @@ def pebbling_number_graph(g: Graph, jobs: int = 1) -> int:
     return max(pebbling_number(g, t, 1, jobs=jobs).value for t in range(g.vertex_count))
 
 
-def has_2pp(g: Graph, pi: int, variant: str = "support", jobs: int = 1):
+def has_2pp(g: Graph, pi: int, variant: str = "support"):
     """Check the 2-pebbling property.
 
     ``variant`` selects how q is counted: ``support`` (vertices with at
     least one pebble) or ``odd`` (vertices with an odd count).  All
-    configurations with size s in [2*pi - q + 1, pi2_max) are checked, where
-    pi2_max is the largest brute-forced 2-fold pebbling number; larger
-    configurations are 2-solvable regardless.
+    configurations with size s >= 2*pi - q + 1 are checked, in (s, c, t)
+    order, for s up to 2*pi + 1.
 
     At each s, each target's box (fewer than 2 pebbles deliverable) is
     walked in a support window, and the walks are merged on (c, t), so the
@@ -405,25 +399,27 @@ def has_2pp(g: Graph, pi: int, variant: str = "support", jobs: int = 1):
     whose 2*pi + 2 - s occupied vertices all hold odd counts (``odd``:
     taking a pebble off an even count raises the odd count, and an odd
     count of 2*pi + 1 - s has the wrong parity for size s).
+
+    Past s = 2*pi + 1 both windows are empty, so the walk stops there.
+    Every size at or above the largest 2-fold pebbling number is
+    2-solvable, so walking those sizes adds no counterexample and the
+    first one is the same whether or not ``pi`` is the true value.
     """
     if variant not in ("support", "odd"):
         raise PebblingError(f"unknown 2PP variant {variant!r}")
     if pi < 1:
         raise PebblingError(f"pebbling number must be >= 1, got {pi}")
     nv = g.vertex_count
-    if nv == 1:
-        return True, None
-    pi2_max = max(
-        pebbling_number(g, t, 2, jobs=jobs).value for t in range(nv)
-    )
-    for s in range(max(2 * pi - nv + 1, 0), pi2_max):
+    for t in range(nv):
+        if None in _target(g, t).cost:
+            raise PebblingError(f"target {t} is not reachable from every vertex")
+    for s in range(max(2 * pi - nv + 1, 0), 2 * pi + 2):
         q = 2 * pi + 1 - s
         if variant == "support":
             window = (q, q + (s == pi + 1))
         else:
             q += 1
             window = (q, q)
-        # pebbling_number has checked that every cost is finite.
         boxes = [
             zip(bounded_configs(s, _target(g, t).cost, 1, *window), itertools.repeat(t))
             for t in range(nv)

@@ -47,9 +47,6 @@ class PayloadState:
     def place(self, vertex: int, indices: IndexSet) -> None:
         self.queues[vertex].append(indices)
 
-    def counts(self) -> tuple[int, ...]:
-        return tuple(len(q) for q in self.queues)
-
     def live_sets(self) -> list[IndexSet]:
         return [s for q in self.queues for s in q]
 

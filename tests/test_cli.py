@@ -105,6 +105,21 @@ def test_2pp_command(capsys):
     assert code == 0 and out.strip() == "holds"
 
 
+def test_2pp_output_independent_of_jobs(capsys):
+    # No --pi: pi is computed with the given worker count, then the 2PP
+    # walk finds Lemke's counterexample.
+    outs = [
+        run(capsys, "--json", "--jobs", jobs, "2pp", "--family", "lemke")
+        for jobs in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+    code, out, _ = outs[0]
+    assert code == 0 and json.loads(out) == {
+        "result": "fails for target 0",
+        "witness": [0, 0, 0, 1, 1, 1, 1, 8],
+    }
+
+
 def test_count_configs(capsys):
     code, out, _ = run(capsys, "count-configs", "--vertices", "3", "--pebbles", "2")
     assert code == 0 and out.strip() == "6"
@@ -269,6 +284,8 @@ TAU = ["--n", "1", "--k", "2", "--p", "3", "--m-max", "1"]
         ["pi", "--family", "lemke:9", "--target", "0"],
         ["pi", "--family", "path:3:2x", "--target", "0"],
         ["pi", "--family", "path:3:2 x x cycle:3:2", "--target", "0"],
+        # a target that some vertex cannot reach
+        ["2pp", "--family", "arrow:2", "--pi", "2"],
     ],
 )
 def test_malformed_input_gives_one_error_line(capsys, argv):

@@ -14,6 +14,7 @@ from pebbling.graphs import (
     divisor_lattice,
     graph_from_text,
     grid_graph,
+    instar_graph,
     lemke_graph,
     make_family,
     path_graph,
@@ -89,6 +90,12 @@ def test_complete_bipartite():
     assert g.vertex_count == 5
     assert len(g.edges) == 12
     assert diameter(g) == 2
+
+
+def test_diameter_unreachable_and_single_vertex():
+    assert diameter(arrow_graph(2)) is None  # vertex 1 cannot reach 0
+    assert diameter(instar_graph(3, 2)) is None  # leaves reach only the centre
+    assert diameter(Graph(1, ())) == 0
 
 
 def test_product_counts():

@@ -52,17 +52,9 @@ def _load_config(args, g: Graph) -> configs.Config:
 
 
 def _load_steps(path: str):
-    steps = []
     with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] != "step" or len(parts) != 3:
-                raise PebblingError(f"unrecognized step line: {raw!r}")
-            steps.append((int(parts[1]), int(parts[2])))
-    return steps
+        records = configs.text_records(fh.read(), "step", {"step": 2})
+        return [(int(u), int(v)) for _, (u, v) in records]
 
 
 def _emit(args, result, witness=None, steps=None) -> None:
@@ -119,7 +111,7 @@ def _cmd_solve(args) -> None:
 def _cmd_flow(args) -> None:
     g = _load_graph(args)
     c = _load_config(args, g)
-    f = flows.solve_via_flow(g, c, args.target, args.n, use_lp=args.lp)
+    f = flows.solve_via_flow(g, c, args.target, args.n)
     if f is None:
         _emit(args, "infeasible")
         return
@@ -281,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("flow", _cmd_flow, config=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--lp", action="store_true", help="LP-relaxation pruning")
 
     p = cmd("witness", _cmd_witness)
     p.add_argument("--target", type=int, required=True)

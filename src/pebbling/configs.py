@@ -195,17 +195,28 @@ def config_from_pairs(vertex_count: int, pairs) -> Config:
     return tuple(counts)
 
 
-def config_from_text(text: str, vertex_count: int) -> Config:
-    """Parse `pebbles <vertex> <count>` lines; omitted vertices are zero."""
-    pairs = []
+def text_records(
+    text: str, what: str, fields: dict[str, int]
+) -> Iterator[tuple[str, list[str]]]:
+    """The line format shared by every text file: `#` starts a comment,
+    blank lines are skipped, and each other line is a keyword followed by
+    exactly ``fields[keyword]`` fields.  Yields (keyword, fields)."""
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] != "pebbles" or len(parts) != 3:
-            raise PebblingError(f"unrecognized configuration line: {raw!r}")
-        pairs.append((int(parts[1]), int(parts[2])))
+        keyword, *rest = line.split()
+        if fields.get(keyword) != len(rest):
+            raise PebblingError(f"unrecognized {what} line: {raw!r}")
+        yield keyword, rest
+
+
+def config_from_text(text: str, vertex_count: int) -> Config:
+    """Parse `pebbles <vertex> <count>` lines; omitted vertices are zero."""
+    pairs = [
+        (int(v), int(x))
+        for _, (v, x) in text_records(text, "configuration", {"pebbles": 2})
+    ]
     return config_from_pairs(vertex_count, pairs)
 
 

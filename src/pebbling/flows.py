@@ -12,9 +12,8 @@ integer-programming feasibility problem solved here by branch and bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .configs import Config, config_from_text, config_to_text
+from .configs import Config, config_from_pairs, config_to_text, text_records
 from .errors import PebblingError
 from .graphs import Graph, bfs_distances
 from .solver import Step, _pre_search, replay
@@ -148,62 +147,18 @@ def flow_to_text(f: PebbleFlow) -> str:
 
 
 def flow_from_text(g: Graph, text: str) -> PebbleFlow:
-    config_lines = []
+    pairs = []
     flow: FlowMap = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "pebbles":
-            config_lines.append(line)
-        elif parts[0] == "flow" and len(parts) == 4:
-            u, v, count = int(parts[1]), int(parts[2]), int(parts[3])
-            flow[(u, v)] = flow.get((u, v), 0) + count
+    for keyword, fields in text_records(text, "flow", {"pebbles": 2, "flow": 3}):
+        if keyword == "pebbles":
+            pairs.append((int(fields[0]), int(fields[1])))
         else:
-            raise PebblingError(f"unrecognized flow line: {raw!r}")
-    c = config_from_text("\n".join(config_lines), g.vertex_count)
-    return PebbleFlow(g, c, flow)
+            u, v, count = map(int, fields)
+            flow[(u, v)] = flow.get((u, v), 0) + count
+    return PebbleFlow(g, config_from_pairs(g.vertex_count, pairs), flow)
 
 
-def _lp_infeasible(g: Graph, c: Config, t: int, n: int, caps) -> bool:
-    """Root LP-relaxation prune: maximize fractional x(t) under x >= 0 and
-    the per-edge caps; a maximum below n proves integer infeasibility."""
-    from .weights import LinearProgram, simplex_max
-
-    edges = g.edges
-    nv = g.vertex_count
-    nvars = len(edges)
-
-    def excess_row(v: int) -> list[Fraction]:
-        row = [Fraction(0)] * nvars
-        for i, (a, b, w) in enumerate(edges):
-            if b == v:
-                row[i] += 1
-            if a == v:
-                row[i] -= w
-        return row
-
-    constraints = []
-    for v in range(nv):
-        if v == t:
-            continue
-        # x(v) >= 0  <=>  -(in - out*) <= c(v)
-        row = [-x for x in excess_row(v)]
-        constraints.append((row, Fraction(c[v])))
-    for i in range(nvars):
-        row = [Fraction(0)] * nvars
-        row[i] = Fraction(1)
-        constraints.append((row, Fraction(caps[i])))
-    objective = excess_row(t)
-    lp = LinearProgram(tuple(objective), tuple(constraints))
-    optimum, _, _ = simplex_max(lp)
-    return optimum + c[t] < n
-
-
-def solve_via_flow(
-    g: Graph, c: Config, t: int, n: int, use_lp: bool = False
-) -> PebbleFlow | None:
+def solve_via_flow(g: Graph, c: Config, t: int, n: int) -> PebbleFlow | None:
     """Find a feasible flow with excess at least n on t, or prove there is
     none; this decides n-fold t-solvability exactly.
 
@@ -216,17 +171,17 @@ def solve_via_flow(
     if opening is not None:
         return flow_from_steps(g, c, opening.witness) if opening else None
 
+    # The opening answers whenever the potential, at most |c| * L, is below
+    # n * L.  So here the budget |c| - n is not negative, and edges[0]
+    # exists: without an edge only t has a finite cost, and the potential
+    # is c(t) * L < n * L.
     total = sum(c)
     dist = bfs_distances(g, t)
     edges = sorted(
         g.edges, key=lambda e: (dist[e[1]] if dist[e[1]] is not None else total, e)
     )
     budget = total - n  # every flow unit on weight w destroys w - 1 pebbles
-    if budget < 0:
-        return None
-    caps = [min(budget // (w - 1), budget) for _, _, w in edges]
-    if use_lp and _lp_infeasible(g, c, t, n, caps):
-        return None
+    caps = [budget // (w - 1) for _, _, w in edges]
 
     nv = g.vertex_count
     in_open = [0] * nv   # cap sum of not-yet-assigned in-edges
@@ -243,8 +198,6 @@ def solve_via_flow(
                 return False
         return True
 
-    if not edges:
-        return None  # c(t) < n and nothing can move
     # Depth-first over the edges in order with an explicit stack:
     # assignment holds the values of edges[:i], and value is the next one
     # to try on edge i = (u, v, w), which is open (its cap is out of
@@ -254,7 +207,7 @@ def solve_via_flow(
     i = spent = 0
     u, v, w = edges[0]
     in_open[v] -= caps[0]
-    value = min(caps[0], budget // (w - 1))
+    value = caps[0]
     while True:
         if value < 0:
             # Edge i is exhausted: reopen it, back up to edge i - 1.
@@ -284,7 +237,7 @@ def solve_via_flow(
         spent = used
         u, v, w = edges[i]
         in_open[v] -= caps[i]
-        value = min(caps[i], (budget - spent) // (w - 1))
+        value = (budget - spent) // (w - 1)
     flow = {
         (u, v): count
         for (u, v, _), count in zip(edges, assignment)

@@ -12,6 +12,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .configs import text_records
 from .errors import PebblingError
 
 Edge = tuple[int, int, int]  # (from, to, weight)
@@ -101,17 +102,11 @@ def graph_from_text(text: str) -> Graph:
     """Parse the line-oriented graph format (`vertices n`, `edge u v k`)."""
     n = None
     edges = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "vertices" and len(parts) == 2:
-            n = int(parts[1])
-        elif parts[0] == "edge" and len(parts) == 4:
-            edges.append((int(parts[1]), int(parts[2]), int(parts[3])))
+    for keyword, fields in text_records(text, "graph", {"vertices": 1, "edge": 3}):
+        if keyword == "vertices":
+            n = int(fields[0])
         else:
-            raise PebblingError(f"unrecognized graph line: {raw!r}")
+            edges.append(tuple(map(int, fields)))
     if n is None:
         raise PebblingError("missing 'vertices' line")
     return Graph(n, tuple(edges))

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configs import Config
+from .configs import Config, text_records
 from .errors import PebblingError
 from .graphs import Graph, bfs_distances
 from .solver import Step
@@ -244,14 +244,11 @@ def lp_bound_details(
     g: Graph, t: int, ws: list[WeightFunction]
 ) -> tuple[int, Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
     lp = build_bound_lp(g, t, ws)
-    try:
-        optimum, primal, dual = simplex_max(lp)
-    except PebblingError as exc:
-        if "unbounded" in str(exc):
-            raise PebblingError(
-                "weight functions do not cover the graph; LP is unbounded"
-            ) from exc
-        raise
+    # Every coefficient is non-negative, so the LP is bounded exactly when
+    # every variable has a positive weight in some row.
+    if any(not any(w.weights[v] for w in ws) for v in range(g.vertex_count) if v != t):
+        raise PebblingError("weight functions do not cover the graph; LP is unbounded")
+    optimum, primal, dual = simplex_max(lp)
     return int(optimum) + 1, optimum, primal, dual
 
 
@@ -291,20 +288,17 @@ def weight_function_to_text(w: WeightFunction) -> str:
 def weight_function_from_text(text: str, vertex_count: int) -> WeightFunction:
     target = None
     weights = [Fraction(0)] * vertex_count
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for keyword, fields in text_records(text, "weight", {"target": 1, "w": 2}):
+        if keyword == "target":
+            target = int(fields[0])
             continue
-        parts = line.split()
-        if parts[0] == "target" and len(parts) == 2:
-            target = int(parts[1])
-        elif parts[0] == "w" and len(parts) == 3:
-            v = int(parts[1])
-            if not 0 <= v < vertex_count:
-                raise PebblingError(f"vertex {v} out of range")
-            weights[v] = Fraction(parts[2])
-        else:
-            raise PebblingError(f"unrecognized weight line: {raw!r}")
+        v = int(fields[0])
+        if not 0 <= v < vertex_count:
+            raise PebblingError(f"vertex {v} out of range")
+        try:
+            weights[v] = Fraction(fields[1])
+        except ZeroDivisionError:
+            raise PebblingError(f"zero denominator in weight {fields[1]!r}") from None
     if target is None:
         raise PebblingError("missing 'target' line")
     return WeightFunction(target, tuple(weights))

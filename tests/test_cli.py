@@ -217,6 +217,9 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # the LP prune is gone
+        main(["flow", "--family", "path:3:2", "--place", "0:4", "--target", "2", "--lp"])
+    assert exc.value.code == 2
 
 
 P3 = ["--family", "path:3:2"]
@@ -291,6 +294,35 @@ TAU = ["--n", "1", "--k", "2", "--p", "3", "--m-max", "1"]
 def test_malformed_input_gives_one_error_line(capsys, argv):
     try:
         code = main(argv)
+    except SystemExit as exc:  # argparse usage error
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "option, text, argv",
+    [
+        ("--graph", "vertices x\n", ["pi", "--target", "0"]),
+        ("--graph", "vertices 3\nedge 0 1\n", ["pi", "--target", "0"]),
+        ("--graph", "blorp\n", ["pi", "--target", "0"]),
+        ("--graph", "edge 0 1 2\n", ["pi", "--target", "0"]),
+        ("--config", "pebbles 0\n", ["solve", *P3, "--target", "2"]),
+        ("--config", "[1,", ["solve", *P3, "--target", "2"]),
+        ("--config", "[true, 0, 0]", ["solve", *P3, "--target", "2"]),
+        ("--wf", "target 0\nw 1 1/0\n", ["wf-bound", "--family", "cycle:4:2"]),
+        ("--wf", "w 1 1\n", ["wf-bound", "--family", "cycle:4:2"]),
+        ("--replay", "step 0\n", ["solve", *P3, "--place", "0:4"]),
+        ("--replay", "step 0 2\n", ["solve", *P3, "--place", "0:4"]),
+    ],
+)
+def test_malformed_file_gives_one_error_line(capsys, tmp_path, option, text, argv):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    try:
+        code = main([*argv, option, str(path)])
     except SystemExit as exc:  # argparse usage error
         code = exc.code
     err = capsys.readouterr().err

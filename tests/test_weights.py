@@ -176,3 +176,5 @@ def test_weight_text_round_trip():
         weight_function_from_text("w 0 1\n", 2)  # no target line
     with pytest.raises(PebblingError):
         weight_function_from_text("target 0\nblorp\n", 2)
+    with pytest.raises(PebblingError):
+        weight_function_from_text("target 0\nw 1 1/0\n", 2)  # zero denominator

@@ -20,6 +20,8 @@ def main() -> None:
                     help="worker processes for the pi computation")
     ap.add_argument("--variant", choices=["support", "odd"], default="support")
     args = ap.parse_args()
+    if args.jobs < 1:
+        ap.error(f"argument --jobs: need at least 1, got {args.jobs}")
 
     g = lemke_graph()
     t0 = time.monotonic()

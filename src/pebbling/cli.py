@@ -41,8 +41,11 @@ def _load_config(args, g: Graph) -> configs.Config:
     if args.config is None:
         pairs = []
         for chunk in args.place.split(","):
-            v, x = chunk.split(":")
-            pairs.append((int(v), int(x)))
+            try:
+                v, x = map(int, chunk.split(":"))
+            except ValueError as exc:
+                raise PebblingError(f"--place pair {chunk!r} is not vertex:count") from exc
+            pairs.append((v, x))
         return configs.config_from_pairs(g.vertex_count, pairs)
     with open(args.config) as fh:
         text = fh.read()
@@ -338,6 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: need at least 1, got {args.jobs}")
     try:
         args.fn(args)
     except (PebblingError, OSError, ValueError) as exc:

@@ -308,11 +308,11 @@ def _structured_witness(g: Graph, t: int, n: int, p: int) -> Config | None:
     return None
 
 
-def _scan_chunk(g: Graph, t: int, n: int, p: int, cost: tuple[int, ...], first: int):
-    """First unsolvable configuration with c[0] = first in the box (see
-    ``find_unsolvable``), in lexicographic order."""
-    for rest in bounded_configs(p - first, cost[1:], n - 1 - first // cost[0]):
-        c = (first,) + rest
+def _scan_stride(g: Graph, t: int, n: int, p: int, jobs: int, start: int) -> Config | None:
+    """First unsolvable one of t's box walk at places start, start + jobs, ..."""
+    # A vertex that cannot reach t delivers nothing within size p: cost p + 1.
+    cost = tuple(p + 1 if cv is None else cv for cv in _target(g, t).cost)
+    for c in itertools.islice(bounded_configs(p, cost, n - 1), start, None, jobs):
         if _unsolvable(g, c, t, n):
             return c
     return None
@@ -321,16 +321,17 @@ def _scan_chunk(g: Graph, t: int, n: int, p: int, cost: tuple[int, ...], first: 
 def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config | None:
     """Some size-p configuration that is not n-fold t-solvable, or None.
 
-    Deterministic regardless of the worker count: when the structured
-    pre-pass misses, the lexicographically smallest witness of the full
-    scan is returned.  The scan walks only the box sum(c(v) // cost(v)) < n
-    in lexicographic order: every configuration outside it is solvable by
-    independent delivery (``_deliverable``), so the smallest unsolvable
-    one is the same.
+    After the singleton and structured shapes, the scan walks t's box
+    sum(c(v) // cost(v)) < n, outside which independent delivery solves c.
+    Worker i of ``jobs`` decides the walk's configurations i, i + jobs, ...
+    The walk is lexicographic, so the least of the workers' first hits is
+    the smallest unsolvable one, whatever the worker count.
     """
     _check_instance(g, None, t, n)
     if p < 0:
         raise PebblingError(f"need size p >= 0, got {p}")
+    if jobs < 1:
+        raise PebblingError(f"need jobs >= 1, got {jobs}")
     if n == 0:
         return None
     w = _singleton_witness(g, t, n, p)
@@ -339,15 +340,11 @@ def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config |
     w = _structured_witness(g, t, n, p)
     if w is not None:
         return w
-    # A vertex that cannot reach t delivers nothing: cost p + 1 bounds
-    # nothing within size p.
-    cost = tuple(p + 1 if cv is None else cv for cv in _target(g, t).cost)
-    scan = functools.partial(_scan_chunk, g, t, n, p, cost)
-    firsts = range(min(p + 1, n * cost[0]))
+    scan = functools.partial(_scan_stride, g, t, n, p, jobs)
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
     with pool:
-        hits = pool.map(scan, firsts) if jobs > 1 else map(scan, firsts)
-        return next((hit for hit in hits if hit is not None), None)
+        hits = pool.map(scan, range(jobs)) if jobs > 1 else map(scan, range(jobs))
+        return min((hit for hit in hits if hit is not None), default=None)
 
 
 def pebbling_number(g: Graph, t: int, n: int = 1, jobs: int = 1) -> PebblingNumber:
@@ -365,8 +362,6 @@ def pebbling_number(g: Graph, t: int, n: int = 1, jobs: int = 1) -> PebblingNumb
     # Singleton witnesses cover all sizes up to #V + n - 2.
     p = g.vertex_count + n - 1
     witness = _singleton_witness(g, t, n, p - 1)
-    if g.vertex_count == 1:
-        return PebblingNumber(n, (n - 1,))
     while True:
         hit = find_unsolvable(g, t, n, p, jobs=jobs)
         if hit is None:

@@ -220,6 +220,10 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:  # the LP prune is gone
         main(["flow", "--family", "path:3:2", "--place", "0:4", "--target", "2", "--lp"])
     assert exc.value.code == 2
+    for jobs in ("0", "-3"):  # a strided scan needs a worker
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", jobs, "pi", "--family", "cycle:5:2", "--target", "0"])
+        assert exc.value.code == 2
 
 
 P3 = ["--family", "path:3:2"]
@@ -329,6 +333,14 @@ def test_malformed_file_gives_one_error_line(capsys, tmp_path, option, text, arg
     assert code in (1, 2)
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("place", ["", ",", "0", "0:x", "0:1:2"])
+def test_malformed_place_pair_is_named(capsys, place):
+    code, _, err = run(capsys, "solve", *P3, "--place", place, "--target", "2")
+    assert code == 1
+    [line] = [line for line in err.splitlines() if "error:" in line]
+    assert "--place" in line and "vertex:count" in line
 
 
 def test_tree_pi_on_a_long_path(capsys):

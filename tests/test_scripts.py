@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -21,8 +23,10 @@ def run_script(name, *args):
     )
 
 
-def test_lemke_2pp_script_finds_the_counterexample():
-    out = run_script("lemke_2pp.py")
+@pytest.mark.parametrize("args", [(), ("--jobs", "2")], ids=["serial", "jobs2"])
+def test_lemke_2pp_script_finds_the_counterexample(args):
+    # --jobs 2 runs the pi scans in a worker pool of a fresh interpreter.
+    out = run_script("lemke_2pp.py", *args)
     assert out.returncode == 0, out.stderr
     assert "2PP fails" in out.stdout
     assert "configuration (0, 0, 0, 1, 1, 1, 1, 8)" in out.stdout

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from pebbling.graphs import (
 )
 from pebbling.solver import (
     _greedy_steps,
+    _scan_stride,
     _tau_subconfig_exists,
     apply_step,
     find_unsolvable,
@@ -84,7 +86,9 @@ def test_witnesses_replay(subtests=None):
 def test_pebbling_number_examples():
     assert pebbling_number(path_graph(3), 0).value == 4
     assert pebbling_number(cycle_graph(7), 0).value == 11
-    assert pebbling_number(Graph(1, ()), 0).value == 1
+    for n in range(1, 6):  # one vertex: no scan finds anything
+        out = pebbling_number(Graph(1, ()), 0, n)
+        assert (out.value, out.witness_unsolvable) == (n, (n - 1,))
 
 
 def test_pebbling_number_witness_is_unsolvable():
@@ -235,6 +239,17 @@ def test_bad_instances_raise():
         find_unsolvable(path_graph(3), 0, 1, -1)
 
 
+def test_worker_count_below_one_raises():
+    # With no worker the strided scan would decide nothing and answer None.
+    for jobs in (0, -3):
+        with pytest.raises(PebblingError, match="jobs >= 1"):
+            find_unsolvable(cycle_graph(8), 0, 1, 15, jobs=jobs)
+        with pytest.raises(PebblingError, match="jobs >= 1"):
+            pebbling_number(path_graph(3), 0, jobs=jobs)
+        with pytest.raises(PebblingError, match="jobs >= 1"):
+            pebbling_number_graph(path_graph(3), jobs=jobs)
+
+
 def test_nothing_is_zero_fold_unsolvable():
     assert find_unsolvable(path_graph(3), 0, 0, 1) is None
 
@@ -276,6 +291,56 @@ def test_box_scan_pins_cycle_witness():
     ]:
         out = pebbling_number(make_family(family), t)
         assert (out.value, out.witness_unsolvable) == (value, witness), (family, t)
+
+
+def test_strided_scan_finds_the_first_unsolvable_configuration():
+    # Every unsolvable configuration lies in t's box, so at every stride
+    # the least of the strides' first hits is the first configuration of
+    # the whole size-p walk that the flow route cannot solve.  Sizes with
+    # more than 6,000 configurations are skipped to keep the oracle quick.
+    rng = random.Random(3)
+    found = set()
+    for _ in range(40):
+        g = _strong_digraph(rng, rng.randint(2, 5))
+        nv = g.vertex_count
+        for t, n in itertools.product(range(nv), (1, 2)):
+            pi = pebbling_number(g, t, n).value
+            for p in range(pi - 2, pi + 1):
+                if math.comb(p + nv - 1, nv - 1) > 6000:
+                    continue
+                first = next(
+                    (c for c in enumerate_configs(nv, p) if solve_via_flow(g, c, t, n) is None),
+                    None,
+                )
+                found.add(first is None)
+                for jobs in (1, 2, 3, 5):
+                    hits = [_scan_stride(g, t, n, p, jobs, i) for i in range(jobs)]
+                    assert min(filter(None, hits), default=None) == first, (g, t, n, p, jobs)
+    assert found == {True, False}
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [
+        ("cycle:8:2", 1),
+        ("petersen", 1),
+        ("lemke", 1),
+        ("hypercube:2:2:2", 1),
+        ("hypercube:3:4", 1),
+        # The scan, not the structured pass, finds these witnesses.
+        ("star:4:2", 1),
+        ("star:4:2", 2),
+        ("complete:4:2", 2),
+    ],
+)
+def test_pebbling_number_independent_of_jobs(family, n):
+    # Through the pool: the same value and witness at 1, 2 and 3 workers,
+    # at target 0 (where a split on c[0] had one chunk) and the last vertex.
+    g = make_family(family)
+    for t in (0, g.vertex_count - 1):
+        serial = pebbling_number(g, t, n)
+        for jobs in (2, 3):
+            assert pebbling_number(g, t, n, jobs=jobs) == serial, (t, jobs)
 
 
 def _strong_digraph(rng, nv):

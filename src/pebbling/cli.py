@@ -138,7 +138,7 @@ def _cmd_flow(args) -> None:
 
 def _cmd_witness(args) -> None:
     g = _load_graph(args)
-    w = solver.find_unsolvable(g, args.target, 1, args.size)
+    w = solver.find_unsolvable(g, args.target, 1, args.size, jobs=args.jobs)
     if w is None:
         _emit(args, "none")
     else:

@@ -28,6 +28,8 @@ class PebbleFlow:
     flow: FlowMap
 
     def __post_init__(self):
+        if len(self.config) != self.graph.vertex_count:
+            raise PebblingError("configuration size mismatch")
         for (u, v), count in self.flow.items():
             if not self.graph.has_edge(u, v):
                 raise PebblingError(f"flow on missing edge ({u},{v})")
@@ -43,14 +45,16 @@ class PebbleFlow:
     def outflow(self, v: int) -> int:
         return sum(self.count(v, u) for _, u, _ in self.graph.out_edges[v])
 
-    def weighted_outflow(self, v: int) -> int:
-        return sum(w * self.count(v, u) for _, u, w in self.graph.out_edges[v])
-
     def excess(self, v: int) -> int:
-        return self.config[v] + self.inflow(v) - self.weighted_outflow(v)
+        return self.excess_vector()[v]
 
     def excess_vector(self) -> tuple[int, ...]:
-        return tuple(self.excess(v) for v in range(self.graph.vertex_count))
+        x = list(self.config)
+        weight = self.graph.weight_map
+        for (u, v), k in self.flow.items():
+            x[u] -= weight[(u, v)] * k
+            x[v] += k
+        return tuple(x)
 
     def total_count(self) -> int:
         return sum(self.flow.values())

@@ -109,13 +109,10 @@ def pi_cycle(m: int) -> int:
 
 
 def pi_weighted_hypercube(ks: list[int]) -> int:
-    """Product of two-vertex paths with weights ks: pi is the product."""
+    """Grid of two-vertex paths with weights ks: pi is the product."""
     if not ks or any(k < 2 for k in ks):
         raise PebblingError("need at least one weight, all >= 2")
-    out = 1
-    for k in ks:
-        out *= k
-    return out
+    return pi_grid([(2, k) for k in ks])
 
 
 def pi_grid(dims: list[tuple[int, int]]) -> int:

@@ -22,8 +22,7 @@ Edge = tuple[int, int, int]  # (from, to, weight)
 class Graph:
     vertex_count: int
     edges: tuple[Edge, ...]
-    name: str | None = None
-    # Optional per-vertex labels (e.g. divisor values for divisor lattices).
+    # Per-vertex divisor values on divisor lattices; None elsewhere.
     labels: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -99,11 +98,13 @@ class Graph:
 
 
 def graph_from_text(text: str) -> Graph:
-    """Parse the line-oriented graph format (`vertices n`, `edge u v k`)."""
+    """Parse the line-oriented graph format (one `vertices n`, `edge u v k`)."""
     n = None
     edges = []
     for keyword, fields in text_records(text, "graph", {"vertices": 1, "edge": 3}):
         if keyword == "vertices":
+            if n is not None:
+                raise PebblingError("repeated 'vertices' line")
             n = int(fields[0])
         else:
             edges.append(tuple(map(int, fields)))
@@ -112,35 +113,35 @@ def graph_from_text(text: str) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def _undirected(n: int, pairs, k: int, name=None, labels=None) -> Graph:
+def _undirected(n: int, pairs, k: int) -> Graph:
     edges = []
     for u, v in pairs:
         edges.append((u, v, k))
         edges.append((v, u, k))
-    return Graph(n, tuple(edges), name=name, labels=labels)
+    return Graph(n, tuple(edges))
 
 
 def complete_graph(n: int, k: int = 2) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return _undirected(n, pairs, k, name=f"K{n}^({k})")
+    return _undirected(n, pairs, k)
 
 
 def cycle_graph(m: int, k: int = 2) -> Graph:
     if m < 3:
         raise PebblingError("cycle needs at least 3 vertices")
     pairs = [(i, (i + 1) % m) for i in range(m)]
-    return _undirected(m, pairs, k, name=f"C{m}^({k})")
+    return _undirected(m, pairs, k)
 
 
 def path_graph(n: int, k: int = 2) -> Graph:
     pairs = [(i, i + 1) for i in range(n - 1)]
-    return _undirected(n, pairs, k, name=f"P{n}^({k})")
+    return _undirected(n, pairs, k)
 
 
 def star_graph(leaves: int, k: int = 2) -> Graph:
     """Star with center 0 and the given number of leaves."""
     pairs = [(0, i) for i in range(1, leaves + 1)]
-    return _undirected(leaves + 1, pairs, k, name=f"S{leaves}^({k})")
+    return _undirected(leaves + 1, pairs, k)
 
 
 def complete_bipartite_graph(m: int, n: int, k: int = 2) -> Graph:
@@ -148,25 +149,25 @@ def complete_bipartite_graph(m: int, n: int, k: int = 2) -> Graph:
     if m < 1 or n < 1:
         raise PebblingError("both parts need at least one vertex")
     pairs = [(a, m + b) for a in range(m) for b in range(n)]
-    return _undirected(m + n, pairs, k, name=f"K{m},{n}^({k})")
+    return _undirected(m + n, pairs, k)
 
 
 def arrow_graph(k: int) -> Graph:
     """Two vertices joined by a single directed weight-k edge 0 -> 1."""
-    return Graph(2, ((0, 1, k),), name=f"arrow({k})")
+    return Graph(2, ((0, 1, k),))
 
 
 def instar_graph(leaves: int, k: int) -> Graph:
     """Inward star: every leaf points at the central sink, vertex 0."""
     edges = tuple((i, 0, k) for i in range(1, leaves + 1))
-    return Graph(leaves + 1, edges, name=f"R{leaves}^({k})")
+    return Graph(leaves + 1, edges)
 
 
 def petersen_graph() -> Graph:
     pairs = [(i, (i + 1) % 5) for i in range(5)]          # outer cycle
     pairs += [(i, i + 5) for i in range(5)]               # spokes
     pairs += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]  # inner pentagram
-    return _undirected(10, pairs, 2, name="Petersen")
+    return _undirected(10, pairs, 2)
 
 
 # 8-vertex Lemke graph, pinned by behavioral tests rather than a drawing:
@@ -181,7 +182,7 @@ LEMKE_PAIRS = (
 
 
 def lemke_graph() -> Graph:
-    return _undirected(8, LEMKE_PAIRS, 2, name="Lemke")
+    return _undirected(8, LEMKE_PAIRS, 2)
 
 
 def divisors(n: int) -> list[int]:
@@ -199,7 +200,7 @@ def divisor_lattice(n: int) -> Graph:
         for d in divs:
             if p != d and d % p == 0:
                 edges.append((index[p], index[d], d // p))
-    return Graph(len(divs), tuple(edges), name=f"D{n}", labels=tuple(divs))
+    return Graph(len(divs), tuple(edges), labels=tuple(divs))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -212,26 +213,15 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     for u, v, w in h.edges:
         for a in range(g.vertex_count):
             edges.append((a * h.vertex_count + u, a * h.vertex_count + v, w))
-    name = None
-    if g.name and h.name:
-        name = f"{g.name} x {h.name}"
-    labels = None
-    if g.labels is not None or h.labels is not None:
-        gl = g.labels or tuple(range(g.vertex_count))
-        hl = h.labels or tuple(range(h.vertex_count))
-        labels = tuple((a, b) for a in gl for b in hl)
-    return Graph(n, tuple(edges), name=name, labels=labels)
+    return Graph(n, tuple(edges))
 
 
 def hypercube_graph(ks: list[int]) -> Graph:
-    """Weighted hypercube: the product of two-vertex paths with the given
+    """Weighted hypercube: the grid of two-vertex paths with the given
     edge weights, one per dimension."""
     if not ks:
         raise PebblingError("hypercube needs at least one weight")
-    g = path_graph(2, ks[0])
-    for k in ks[1:]:
-        g = cartesian_product(g, path_graph(2, k))
-    return g
+    return grid_graph([(2, k) for k in ks])
 
 
 def grid_graph(dims: list[tuple[int, int]]) -> Graph:

@@ -22,9 +22,12 @@ class SmvModel:
     text: str
 
 
-def _transition_disjuncts(g: Graph) -> list[str]:
+def _model(g: Graph, header: list[str], least: int) -> SmvModel:
+    """The layout both models share: MODULE main, the header lines, one
+    TRANS disjunct per edge plus stuttering, and SPEC EF c[i] > least for
+    every vertex."""
     n = g.vertex_count
-    lines = []
+    lines = ["MODULE main", *header, "", "TRANS"]
     for u, v, w in g.edges:  # already sorted by (from, to)
         parts = [f"c[{u + 1}]>{w - 1}"]
         for i in range(n):
@@ -36,8 +39,9 @@ def _transition_disjuncts(g: Graph) -> list[str]:
                 parts.append(f"next(c[{i + 1}])=c[{i + 1}]")
         lines.append("( " + " & ".join(parts) + " ) |")
     stutter = " & ".join(f"next(c[{i + 1}])=c[{i + 1}]" for i in range(n))
-    lines.append("  ( " + stutter + " )")
-    return lines
+    lines += ["  ( " + stutter + " )", ""]
+    lines += [f"SPEC EF c[{i + 1}] > {least}" for i in range(n)]
+    return SmvModel("\n".join(lines) + "\n")
 
 
 def emit_pebbling_model(g: Graph, total_pebbles: int) -> SmvModel:
@@ -47,18 +51,12 @@ def emit_pebbling_model(g: Graph, total_pebbles: int) -> SmvModel:
         raise PebblingError("pebble count must be non-negative")
     n = g.vertex_count
     total_sum = " + ".join(f"c[{i + 1}]" for i in range(n))
-    lines = [
-        "MODULE main",
+    header = [
         f"DEFINE n := {total_pebbles};",
         f"VAR c : array 1..{n} of 0..n;",
         f"INIT {total_sum} = n",
-        "",
-        "TRANS",
-        *_transition_disjuncts(g),
-        "",
     ]
-    lines += [f"SPEC EF c[{i + 1}] > 0" for i in range(n)]
-    return SmvModel("\n".join(lines) + "\n")
+    return _model(g, header, 0)
 
 
 def emit_2pp_model(g: Graph, pi: int) -> SmvModel:
@@ -70,18 +68,12 @@ def emit_2pp_model(g: Graph, pi: int) -> SmvModel:
     n = g.vertex_count
     total_sum = " + ".join(f"c[{i + 1}]" for i in range(n))
     occupied = ", ".join(f"c[{i + 1}]>0" for i in range(n))
-    lines = [
-        "MODULE main",
+    header = [
         f"DEFINE n := {n}; p := {pi};",
         "VAR c : array 1..n of 0..2*p;",
         "",
         "INIT",
         f"  {total_sum} = 2*p + 1 -",
         f"  count({occupied})",
-        "",
-        "TRANS",
-        *_transition_disjuncts(g),
-        "",
     ]
-    lines += [f"SPEC EF c[{i + 1}] > 1" for i in range(n)]
-    return SmvModel("\n".join(lines) + "\n")
+    return _model(g, header, 1)

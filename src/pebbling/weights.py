@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .configs import Config, text_records
 from .errors import PebblingError
@@ -111,22 +112,30 @@ def wfl_solve(g: Graph, w: WeightFunction, c: Config) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-def covering_bound(g: Graph, ws: list[WeightFunction]) -> int:
-    """Pebbling-number bound floor(|w| / m) + 1 from the sum w of a family
-    covering every non-target vertex, with m its least positive value."""
+def _family_target(g: Graph, ws: list[WeightFunction], t: int | None = None) -> int:
+    """The target of a non-empty family of valid weight functions that all
+    share it (t, when given) and together cover every other vertex."""
     if not ws:
         raise PebblingError("need at least one weight function")
+    if t is None:
+        t = ws[0].target
     for w in ws:
         if not validate_weight_function(g, w):
             raise PebblingError("invalid weight function in family")
-    total = ws[0]
-    for w in ws[1:]:
-        total = add_weight_functions(total, w)
-    t = total.target
+        if w.target != t:
+            raise PebblingError(f"weight function target {w.target} differs from {t}")
     for v in range(g.vertex_count):
-        if v != t and total.weights[v] == 0:
+        if v != t and not any(w.weights[v] for w in ws):
             raise PebblingError(f"weight functions do not cover vertex {v}")
-    m = min(total.weights[v] for v in range(g.vertex_count) if v != t)
+    return t
+
+
+def covering_bound(g: Graph, ws: list[WeightFunction]) -> int:
+    """Pebbling-number bound floor(|w| / m) + 1 from the sum w of a family
+    covering every non-target vertex, with m its least positive value."""
+    t = _family_target(g, ws)
+    total = reduce(add_weight_functions, ws)
+    m = min((total.weights[v] for v in range(g.vertex_count) if v != t), default=1)
     return int(total.total() / m) + 1
 
 
@@ -218,23 +227,6 @@ def simplex_max(
     return cost[-1], tuple(primal), dual
 
 
-def build_bound_lp(g: Graph, t: int, ws: list[WeightFunction]) -> LinearProgram:
-    """LP whose optimum is the largest fractional configuration weight
-    compatible with every weight function: maximize the total over
-    non-target vertices subject to w_i . c <= |w_i|."""
-    for w in ws:
-        if not validate_weight_function(g, w):
-            raise PebblingError("invalid weight function in family")
-        if w.target != t:
-            raise PebblingError("weight function target mismatch")
-    variables = [v for v in range(g.vertex_count) if v != t]
-    objective = tuple(Fraction(1) for _ in variables)
-    constraints = tuple(
-        (tuple(w.weights[v] for v in variables), w.total()) for w in ws
-    )
-    return LinearProgram(objective, constraints)
-
-
 def lp_bound(g: Graph, t: int, ws: list[WeightFunction]) -> int:
     bound, _, _, _ = lp_bound_details(g, t, ws)
     return bound
@@ -243,11 +235,15 @@ def lp_bound(g: Graph, t: int, ws: list[WeightFunction]) -> int:
 def lp_bound_details(
     g: Graph, t: int, ws: list[WeightFunction]
 ) -> tuple[int, Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
-    lp = build_bound_lp(g, t, ws)
-    # Every coefficient is non-negative, so the LP is bounded exactly when
-    # every variable has a positive weight in some row.
-    if any(not any(w.weights[v] for w in ws) for v in range(g.vertex_count) if v != t):
-        raise PebblingError("weight functions do not cover the graph; LP is unbounded")
+    """(floor(optimum) + 1, optimum, primal, dual) of the LP maximizing the
+    total over non-target vertices subject to w_i . c <= |w_i|; bounded,
+    as the family covers every variable with non-negative weights."""
+    _family_target(g, ws, t)
+    variables = [v for v in range(g.vertex_count) if v != t]
+    lp = LinearProgram(
+        tuple(Fraction(1) for _ in variables),
+        tuple((tuple(w.weights[v] for v in variables), w.total()) for w in ws),
+    )
     optimum, primal, dual = simplex_max(lp)
     return int(optimum) + 1, optimum, primal, dual
 
@@ -288,13 +284,19 @@ def weight_function_to_text(w: WeightFunction) -> str:
 def weight_function_from_text(text: str, vertex_count: int) -> WeightFunction:
     target = None
     weights = [Fraction(0)] * vertex_count
+    seen = set()
     for keyword, fields in text_records(text, "weight", {"target": 1, "w": 2}):
         if keyword == "target":
+            if target is not None:
+                raise PebblingError("repeated 'target' line")
             target = int(fields[0])
             continue
         v = int(fields[0])
         if not 0 <= v < vertex_count:
             raise PebblingError(f"vertex {v} out of range")
+        if v in seen:
+            raise PebblingError(f"repeated 'w {v}' line")
+        seen.add(v)
         try:
             weights[v] = Fraction(fields[1])
         except ZeroDivisionError:

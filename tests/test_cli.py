@@ -90,9 +90,12 @@ def test_flow_output(capsys):
 
 
 def test_witness_command(capsys):
-    code, out, _ = run(
-        capsys, "witness", "--family", "cycle:6:2", "--target", "0", "--size", "7"
-    )
+    outs = [
+        run(capsys, "--jobs", jobs, "witness", "--family", "cycle:6:2", "--target", "0", "--size", "7")
+        for jobs in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+    code, out, _ = outs[0]
     assert code == 0 and out.splitlines()[0] == "found"
     code, out, _ = run(
         capsys, "witness", "--family", "path:2:2", "--target", "0", "--size", "2"
@@ -320,6 +323,10 @@ def test_malformed_input_gives_one_error_line(capsys, argv):
         ("--wf", "w 1 1\n", ["wf-bound", "--family", "cycle:4:2"]),
         ("--replay", "step 0\n", ["solve", *P3, "--place", "0:4"]),
         ("--replay", "step 0 2\n", ["solve", *P3, "--place", "0:4"]),
+        # a repeated header line is an error, not a silent override
+        ("--graph", "vertices 5\nvertices 2\nedge 0 1 2\nedge 1 0 2\n", ["pi", "--target", "0"]),
+        ("--wf", "target 1\ntarget 0\nw 1 2\nw 2 1\nw 3 2\n", ["wf-bound", "--family", "cycle:4:2"]),
+        ("--wf", "target 0\nw 1 1\nw 1 2\nw 2 1\nw 3 2\n", ["wf-bound", "--family", "cycle:4:2"]),
     ],
 )
 def test_malformed_file_gives_one_error_line(capsys, tmp_path, option, text, argv):

@@ -41,6 +41,8 @@ def test_flow_validation():
         PebbleFlow(g, (2, 0), {(0, 0): 1})  # missing edge
     with pytest.raises(PebblingError):
         PebbleFlow(g, (2, 0), {(0, 1): -1})  # negative count
+    with pytest.raises(PebblingError):
+        PebbleFlow(g, (2, 0, 0), {(0, 1): 1})  # configuration size
 
 
 def test_flow_from_steps_checks_legality():
@@ -131,6 +133,16 @@ def test_flow_conservation_random_steps():
         f = flow_from_steps(g, c, steps)
         assert is_feasible(f)
         assert f.excess_vector() == replay(g, c, steps)
+        # x(v) = c(v) + inflow - weighted outflow, summed edge by edge
+        for h in (f, unidirectional(f)):
+            expected = [
+                c[v]
+                + sum(h.count(a, b) for a, b, _ in g.edges if b == v)
+                - sum(w * h.count(a, b) for a, b, w in g.edges if a == v)
+                for v in range(g.vertex_count)
+            ]
+            assert h.excess_vector() == tuple(expected)
+            assert [h.excess(v) for v in range(g.vertex_count)] == expected
         assert sum(f.inflow(v) for v in range(g.vertex_count)) == f.total_count()
         assert sum(f.outflow(v) for v in range(g.vertex_count)) == f.total_count()
         u = unidirectional(f)

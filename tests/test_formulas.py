@@ -109,6 +109,10 @@ def test_pi_weighted_hypercube():
     assert pi_weighted_hypercube([3, 4]) == 12
     with pytest.raises(PebblingError):
         pi_weighted_hypercube([])
+    with pytest.raises(PebblingError):
+        pi_weighted_hypercube([2, 1])
+    for ks in ([2], [3, 2], [2, 3, 4], [5, 2, 2, 3]):
+        assert pi_weighted_hypercube(ks) == pi_grid([(2, k) for k in ks])
     # against the solver for small weight products
     for ks in ([2], [3], [2, 2], [2, 3], [3, 2], [2, 2, 3]):
         g = hypercube_graph(ks)

@@ -14,6 +14,7 @@ from pebbling.graphs import (
     divisor_lattice,
     graph_from_text,
     grid_graph,
+    hypercube_graph,
     instar_graph,
     lemke_graph,
     make_family,
@@ -67,8 +68,19 @@ def test_cost_to_is_cheapest_weight_product():
 
 
 def test_text_round_trip():
-    g = complete_graph(3, 3)
-    assert graph_from_text(g.to_text()).edges == g.edges
+    # A graph is its vertex count and edges: the text form loses nothing.
+    for spec in (
+        "complete:3:3", "cycle:5:2", "path:4:3", "star:3:2", "instar:3:2",
+        "arrow:3", "petersen", "lemke", "divisor_lattice:12",
+        "hypercube:2:3", "grid:3:2:2:3", "cycle:3:2 x path:3:2",
+    ):
+        g = make_family(spec)
+        assert graph_from_text(g.to_text()) == g, spec
+
+
+def test_graphs_with_equal_edges_are_equal():
+    assert cycle_graph(3) == complete_graph(3)
+    assert hash(cycle_graph(3)) == hash(complete_graph(3))
 
 
 def test_petersen_shape():
@@ -112,6 +124,14 @@ def test_make_family_product_matches_iterated():
 
 def test_make_family_grid_matches_paths():
     assert make_family("grid:3:2:2:2").edges == grid_graph([(3, 2), (2, 2)]).edges
+
+
+def test_hypercube_is_a_grid_of_two_vertex_paths():
+    assert make_family("hypercube:2:3:4") == make_family("grid:2:2:2:3:2:4")
+    for ks in ([2], [3, 2], [2, 2, 2], [2, 3, 4]):
+        assert hypercube_graph(ks) == grid_graph([(2, k) for k in ks])
+    with pytest.raises(PebblingError, match="hypercube"):
+        hypercube_graph([])
 
 
 def test_make_family_rejects_garbage():

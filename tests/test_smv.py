@@ -28,9 +28,34 @@ SPEC EF c[2] > 0
 SPEC EF c[3] > 0
 """
 
+GOLDEN_2PP_P3 = """\
+MODULE main
+DEFINE n := 3; p := 3;
+VAR c : array 1..n of 0..2*p;
+
+INIT
+  c[1] + c[2] + c[3] = 2*p + 1 -
+  count(c[1]>0, c[2]>0, c[3]>0)
+
+TRANS
+( c[1]>1 & next(c[1])=c[1]-2 & next(c[2])=c[2]+1 & next(c[3])=c[3] ) |
+( c[2]>1 & next(c[1])=c[1]+1 & next(c[2])=c[2]-2 & next(c[3])=c[3] ) |
+( c[2]>1 & next(c[1])=c[1] & next(c[2])=c[2]-2 & next(c[3])=c[3]+1 ) |
+( c[3]>1 & next(c[1])=c[1] & next(c[2])=c[2]+1 & next(c[3])=c[3]-2 ) |
+  ( next(c[1])=c[1] & next(c[2])=c[2] & next(c[3])=c[3] )
+
+SPEC EF c[1] > 1
+SPEC EF c[2] > 1
+SPEC EF c[3] > 1
+"""
+
 
 def test_golden_path3():
     assert emit_pebbling_model(path_graph(3), 4).text == GOLDEN_P3
+
+
+def test_golden_2pp_path3():
+    assert emit_2pp_model(path_graph(3), 3).text == GOLDEN_2PP_P3
 
 
 def test_emission_is_deterministic():

@@ -173,12 +173,13 @@ def test_verify_tau_matches_brute_force():
     )
     answers = []
     for _ in range(300):
-        g = make_family(rng.choice(families))
+        family = rng.choice(families)
+        g = make_family(family)
         t = rng.randrange(g.vertex_count)
         n, k = rng.randint(1, 2), rng.randint(1, 3)
         args = (t, n, k, rng.randint(-1, 8), rng.randint(0, 4))  # t n k p m_max
         answer = verify_tau(g, *args)
-        assert answer == tau_oracle(g, *args), (g.name, args)
+        assert answer == tau_oracle(g, *args), (family, args)
         answers.append(answer)
     assert True in answers and False in answers
 
@@ -189,7 +190,8 @@ def test_tau_subconfig_matches_every_subconfiguration():
     families = ("path:2:2", "path:3:2", "cycle:4:2", "star:3:2", "arrow:2", "hypercube:2:3")
     answers = []
     for _ in range(400):
-        g = make_family(rng.choice(families))
+        family = rng.choice(families)
+        g = make_family(family)
         c = random_config(rng, g.vertex_count, rng.randint(0, 9))
         t = rng.randrange(g.vertex_count)
         n, k, m = rng.randint(0, 2), rng.randint(1, 3), rng.randint(-1, 8)
@@ -200,7 +202,7 @@ def test_tau_subconfig_matches_every_subconfiguration():
         )
         q = sum(1 for x in c if x)
         answer = _tau_subconfig_exists(g, c, t, n, k, m, sum(c), q)
-        assert answer == expected, (g.name, c, t, n, k, m)
+        assert answer == expected, (family, c, t, n, k, m)
         answers.append(answer)
     assert True in answers and False in answers
 

@@ -5,7 +5,7 @@ import pytest
 
 from pebbling.errors import PebblingError
 from pebbling.formulas import pi_cycle
-from pebbling.graphs import complete_graph, cycle_graph, path_graph, star_graph
+from pebbling.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from pebbling.solver import pebbling_number, replay
 from pebbling.weights import (
     LinearProgram,
@@ -107,6 +107,29 @@ def test_covering_bound_requires_cover():
         covering_bound(g, [])
 
 
+def test_both_bounds_check_the_family_alike():
+    g = path_graph(3)
+    cases = [
+        ([], "at least one weight function"),
+        ([wf(0, 0, 2, 0)], "do not cover vertex 2"),
+        ([wf(0, 0, 2, 1), wf(2, 1, 2, 0)], "target 2 differs from 0"),
+        ([wf(0, 0, 1, 1)], "invalid weight function"),
+    ]
+    for ws, message in cases:
+        with pytest.raises(PebblingError, match=message):
+            covering_bound(g, ws)
+        with pytest.raises(PebblingError, match=message):
+            lp_bound_details(g, 0, ws)
+    # the LP's target is given: a family for another target is foreign
+    with pytest.raises(PebblingError, match="target 0 differs from 2"):
+        lp_bound_details(g, 2, [wf(0, 0, 2, 1)])
+
+
+def test_covering_bound_on_one_vertex():
+    assert covering_bound(Graph(1, ()), [wf(0, 0)]) == 1
+    assert lp_bound(Graph(1, ()), 0, [wf(0, 0)]) == 1
+
+
 def test_add_weight_functions():
     a, b = cycle_weight_functions(5, 0)
     s = add_weight_functions(a, b)
@@ -178,3 +201,7 @@ def test_weight_text_round_trip():
         weight_function_from_text("target 0\nblorp\n", 2)
     with pytest.raises(PebblingError):
         weight_function_from_text("target 0\nw 1 1/0\n", 2)  # zero denominator
+    with pytest.raises(PebblingError, match="repeated 'target'"):
+        weight_function_from_text("target 0\ntarget 1\nw 1 1\n", 2)
+    with pytest.raises(PebblingError, match="repeated 'w 1'"):
+        weight_function_from_text("target 0\nw 1 1\nw 1 3\n", 2)

@@ -6,8 +6,10 @@ weight.  Configurations whose weighted size exceeds the function's total
 are then t-solvable by a greedy argument, which yields upper bounds for
 pebbling numbers: the covering bound from a family of weight functions,
 and a sharper fractional bound from a small linear program.  All
-arithmetic is exact (fractions); floating point would invalidate the
-certificates.
+arithmetic is exact; floating point would invalidate the certificates, so
+weights and LP entries must be ints or Fractions.  The simplex works in
+ints over one common denominator and makes Fractions only at its
+boundary: the optimum, the optimal point and the duals.
 """
 
 from __future__ import annotations
@@ -16,11 +18,20 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import lcm
+from numbers import Rational
 
 from .configs import Config, text_records
 from .errors import PebblingError
 from .graphs import Graph, bfs_distances
 from .solver import Step
+
+
+def _require_exact(values) -> None:
+    """Floats would make the bounds and certificates inexact."""
+    for x in values:
+        if not isinstance(x, Rational):
+            raise PebblingError(f"{x!r} is not an exact rational (int or Fraction)")
 
 
 @dataclass(frozen=True)
@@ -29,6 +40,7 @@ class WeightFunction:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
+        _require_exact(self.weights)
         if any(w < 0 for w in self.weights):
             raise PebblingError("weights must be non-negative")
         if not 0 <= self.target < len(self.weights):
@@ -166,65 +178,64 @@ class LinearProgram:
     constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
 
     def __post_init__(self):
-        for row, _ in self.constraints:
+        _require_exact(self.objective)
+        for row, bound in self.constraints:
             if len(row) != len(self.objective):
                 raise PebblingError("inconsistent LP dimensions")
+            _require_exact((*row, bound))
 
 
 def simplex_max(
     lp: LinearProgram,
 ) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Exact-rational simplex with Bland's anti-cycling rule.
+    """Exact simplex with Bland's anti-cycling rule.
 
     Returns the optimum, an optimal point, and the dual multipliers (one
     per constraint, read off the slack columns).  Bounds must be
-    non-negative so the slack basis is feasible.
+    non-negative so the slack basis is feasible.  The tableau keeps one
+    column per nonbasic variable, all ints over one common denominator d
+    (the basis determinant): a pivot on p is the exact update
+    (x*p - f*y) // d (Edmonds 1967).
     """
     nv = len(lp.objective)
-    mc = len(lp.constraints)
-    for _, bound in lp.constraints:
-        if bound < 0:
-            raise PebblingError("LP bounds must be non-negative")
-    # rows: [a | slacks | b]; cost row: [-objective | 0 | value]
+    if any(b < 0 for _, b in lp.constraints):
+        raise PebblingError("LP bounds must be non-negative")
+    scales = [lcm(*(x.denominator for x in (*row, b))) for row, b in lp.constraints]
     rows = [
-        list(row) + [Fraction(int(i == j)) for j in range(mc)] + [bound]
-        for i, (row, bound) in enumerate(lp.constraints)
+        [x.numerator * (scale // x.denominator) for x in (*row, b)]
+        for scale, (row, b) in zip(scales, lp.constraints)
     ]
-    cost = [-x for x in lp.objective] + [Fraction(0)] * (mc + 1)
-    basis = [nv + i for i in range(mc)]
-
-    while True:
-        entering = next((j for j in range(nv + mc) if cost[j] < 0), None)
-        if entering is None:
-            break
-        best = None
-        for i in range(mc):
-            a = rows[i][entering]
-            if a > 0:
-                ratio = rows[i][-1] / a
-                key = (ratio, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
+    unit = lcm(*(x.denominator for x in lp.objective))
+    cost = [-x.numerator * (unit // x.denominator) for x in lp.objective] + [0]
+    basis = [nv + i for i in range(len(rows))]
+    nonbasic = list(range(nv))  # the variable of each column
+    # Scaling rows and objective by positive integers changes no ratio and
+    # no sign, so Bland's rule makes the pivots of the rational tableau.
+    d = 1
+    while entering := [(v, j) for j, v in enumerate(nonbasic) if cost[j] < 0]:
+        s = min(entering)[1]  # the least variable
+        rising = [i for i, row in enumerate(rows) if row[s] > 0]
+        if not rising:
             raise PebblingError("LP is unbounded")
-        pivot = best[1]
-        pv = rows[pivot][entering]
-        rows[pivot] = [x / pv for x in rows[pivot]]
-        for i in range(mc):
-            if i != pivot and rows[i][entering]:
-                f = rows[i][entering]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[pivot])]
-        if cost[entering]:
-            f = cost[entering]
-            cost = [x - f * y for x, y in zip(cost, rows[pivot])]
-        basis[pivot] = entering
-
+        r = min(rising, key=lambda i: (Fraction(rows[i][-1], rows[i][s]), basis[i]))
+        pivot_row = rows[r]
+        p = pivot_row[s]
+        for row in (*rows[:r], *rows[r + 1:], cost):
+            f = row[s]
+            row[:] = [(x * p - f * y) // d for x, y in zip(row, pivot_row)]
+            row[s] = -f
+        pivot_row[s] = d
+        d = p
+        basis[r], nonbasic[s] = nonbasic[s], basis[r]
     primal = [Fraction(0)] * nv
-    for i, var in enumerate(basis):
+    for var, row in zip(basis, rows):
         if var < nv:
-            primal[var] = rows[i][-1]
-    dual = tuple(cost[nv + j] for j in range(mc))
-    return cost[-1], tuple(primal), dual
+            primal[var] = Fraction(row[-1], d)
+    dual = [Fraction(0)] * len(rows)
+    for j, var in enumerate(nonbasic):
+        if var >= nv:
+            dual[var - nv] = Fraction(cost[j] * scales[var - nv], d * unit)
+    return Fraction(cost[-1], d * unit), tuple(primal), tuple(dual)
 
 
 def lp_bound(g: Graph, t: int, ws: list[WeightFunction]) -> int:

@@ -1,11 +1,20 @@
+import hashlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from pebbling.errors import PebblingError
 from pebbling.formulas import pi_cycle
-from pebbling.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from pebbling.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    make_family,
+    path_graph,
+    star_graph,
+)
 from pebbling.solver import pebbling_number, replay
 from pebbling.weights import (
     LinearProgram,
@@ -160,6 +169,126 @@ def test_simplex_degenerate_and_errors():
         simplex_max(LinearProgram((F(1),), (((F(1),), F(-1)),)))
     with pytest.raises(PebblingError):
         LinearProgram((F(1),), (((F(1), F(2)), F(1)),))
+
+
+def _random_lp(rng):
+    """A small random LP whose boundedness is known without solving it.
+
+    Entries come from a small set, so ratio ties are common; bounds may be
+    zero (degenerate pivots) and rows may repeat.  Three kinds:
+    non-negative rows (unbounded exactly when some variable with a positive
+    objective appears in no row), mixed signs with one all-positive row
+    (bounded), and mixed signs with a planted ray (a variable with a
+    positive objective and no positive coefficient: unbounded)."""
+    values = [F(0), F(0), F(1), F(2), F(1, 2), F(3, 4), F(5, 3)]
+    nv, mc = rng.randint(1, 5), rng.randint(0, 6)
+    kind = rng.choice(("non-negative", "capped", "ray"))
+    sign = (lambda: 1) if kind == "non-negative" else (lambda: rng.choice((1, 1, -1)))
+    rows = [[sign() * rng.choice(values) for _ in range(nv)] for _ in range(mc)]
+    if kind == "capped":
+        rows.append([rng.choice(values[2:]) for _ in range(nv)])
+    if kind == "ray":
+        j = rng.randrange(nv)
+        for row in rows:
+            row[j] = -abs(row[j])
+    rows += [list(rng.choice(rows)) for _ in range(rng.randint(0, 2)) if rows]
+    objective = [rng.choice((1, 1, -1)) * rng.choice(values) for _ in range(nv)]
+    if kind == "ray":
+        objective[j] = rng.choice(values[2:])
+    bounds = [rng.choice((F(0), F(1), F(3), F(7, 2))) for _ in rows]
+    unbounded = any(
+        objective[j] > 0 and all(row[j] <= 0 for row in rows) for j in range(nv)
+    )
+    lp = LinearProgram(
+        tuple(objective),
+        tuple((tuple(row), b) for row, b in zip(rows, bounds)),
+    )
+    return lp, unbounded
+
+
+def test_simplex_certificates_on_random_lps():
+    # Checked in exact arithmetic against the LP alone: a feasible primal
+    # and a feasible dual with equal objectives prove both optimal.
+    rng = random.Random(2024)
+    solved = 0
+    for _ in range(400):
+        lp, unbounded = _random_lp(rng)
+        if unbounded:
+            with pytest.raises(PebblingError, match="^LP is unbounded$"):
+                simplex_max(lp)
+            continue
+        optimum, x, y = simplex_max(lp)
+        solved += 1
+        rows = [row for row, _ in lp.constraints]
+        b = [bound for _, bound in lp.constraints]
+        assert len(x) == len(lp.objective) and len(y) == len(rows)
+        assert all(isinstance(v, Fraction) for v in (optimum, *x, *y))
+        assert all(v >= 0 for v in x) and all(v >= 0 for v in y)
+        for row, bound in lp.constraints:
+            assert sum(a * v for a, v in zip(row, x)) <= bound
+        for j, c in enumerate(lp.objective):
+            assert sum(yi * row[j] for yi, row in zip(y, rows)) >= c
+        assert sum(c * v for c, v in zip(lp.objective, x)) == optimum
+        assert sum(yi * bi for yi, bi in zip(y, b)) == optimum
+    assert 100 < solved < 400
+
+
+def _certify_lp_families(seed):
+    """The random LP families of the certify benchmark workload at this
+    seed: one target per family, 60 random weight functions, extended until
+    they cover every other vertex."""
+    rng = random.Random(seed)
+    for family in ("petersen", "hypercube:2:2:2", "lemke"):
+        g = make_family(family)
+        t = rng.randrange(g.vertex_count)
+        ws = [random_weight_function(g, t, rng) for _ in range(60)]
+        while any(
+            v != t and all(w.weights[v] == 0 for w in ws)
+            for v in range(g.vertex_count)
+        ):
+            ws.append(random_weight_function(g, t, rng))
+        yield g, t, ws
+
+
+def test_lp_bound_details_golden():
+    # (bound, optimum, primal, dual) of nine random families and the
+    # C4-C10 mirror pairs, pinned from the full-tableau simplex that the
+    # condensed integer tableau replaced: same Bland pivots, same answers.
+    results = [
+        lp_bound_details(g, t, ws)
+        for seed in (1, 2, 3)
+        for g, t, ws in _certify_lp_families(seed)
+    ]
+    results += [
+        lp_bound_details(cycle_graph(m), 0, list(cycle_weight_functions(m, 0)))
+        for m in range(4, 11)
+    ]
+    assert results[-1] == (32, F(31), (0, 0, 0, 0, 31, 0, 0, 0, 0), (F(1, 2), F(1, 2)))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == (
+        "3533f27e470a9da184b1018a744424772dd21aeebe321637490b0feb7488eba2"
+    )
+
+
+def test_constructors_reject_inexact_entries():
+    for bad in (0.5, Decimal("0.5"), "1/2"):
+        with pytest.raises(PebblingError, match="exact rational"):
+            WeightFunction(0, (F(0), bad, F(1)))
+        with pytest.raises(PebblingError, match="exact rational"):
+            LinearProgram((F(1), bad), (((F(1), F(1)), F(2)),))
+        with pytest.raises(PebblingError, match="exact rational"):
+            LinearProgram((F(1), F(1)), (((F(1), bad), F(2)),))
+        with pytest.raises(PebblingError, match="exact rational"):
+            LinearProgram((F(1), F(1)), (((F(1), F(1)), bad),))
+    # the float certificate that used to come back from a float family
+    with pytest.raises(PebblingError, match="exact rational"):
+        lp_bound_details(
+            cycle_graph(5), 0, [WeightFunction(0, (0, 0.5, 0.25, 0.25, 0.5))]
+        )
+    # int and Fraction stay accepted, and the answers are Fractions
+    assert WeightFunction(0, (0, 1, F(1, 2))).total() == F(3, 2)
+    opt, point, dual = simplex_max(LinearProgram((1, F(1, 2)), (((2, 1), 3),)))
+    assert (opt, point, dual) == (F(3, 2), (F(3, 2), F(0)), (F(1, 2),))
+    assert all(type(v) is Fraction for v in (opt, *point, *dual))
 
 
 def test_cycle5_lp_optimum():

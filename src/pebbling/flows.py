@@ -7,6 +7,13 @@ steps, independent of order.  A feasible flow (x >= 0 everywhere) can
 always be turned back into a legal step sequence, so deciding solvability
 reduces to finding integer edge counts with x >= 0 and x(t) >= n --- an
 integer-programming feasibility problem solved here by branch and bound.
+
+The branch and bound caps each count with two exact budgets: the pebbles
+that may be lost, |c| - n, and the potential sum(c(v) * L / cost(v)) above
+n * L (the weight function of Hurlbert's Weight Function Lemma), which no
+feasible flow can spend.  A partial assignment is kept while every vertex
+can still end with its need, read off two per-vertex lists (its slack and
+its slack plus the caps still open into it) with two ``min`` calls.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 from .configs import Config, config_from_pairs, config_to_text, text_records
 from .errors import PebblingError
 from .graphs import Graph, bfs_distances
-from .solver import Step, _pre_search, replay
+from .solver import Step, _potential, _pre_search, _target, replay
 
 FlowMap = dict[tuple[int, int], int]
 
@@ -158,6 +165,8 @@ def flow_from_text(g: Graph, text: str) -> PebbleFlow:
             pairs.append((int(fields[0]), int(fields[1])))
         else:
             u, v, count = map(int, fields)
+            if count < 0:
+                raise PebblingError(f"negative flow on edge ({u},{v})")
             flow[(u, v)] = flow.get((u, v), 0) + count
     return PebbleFlow(g, config_from_pairs(g.vertex_count, pairs), flow)
 
@@ -169,69 +178,84 @@ def solve_via_flow(g: Graph, c: Config, t: int, n: int) -> PebbleFlow | None:
     The opening shared with the configuration search
     (``solver._pre_search``) gives most answers; the complete fallback is
     depth-first branch and bound over per-edge counts, edges ordered by
-    the head's distance to t and values tried descending.
+    the head's distance to t and values tried descending.  Two budgets cap
+    the counts: a unit on an edge of weight w loses w - 1 pebbles of the
+    |c| - n that can go, and takes the edge's ``drop`` off the potential
+    of the ``solver._target`` record, which must end at n * L or more.  A
+    partial assignment is cut when some vertex cannot end with its need
+    (n at t, 0 elsewhere) even if every open edge into it took its cap, or
+    took all the pebbles still allowed to go.  Both cuts only drop
+    subtrees without a feasible leaf, so the first leaf found, the
+    returned flow, does not depend on them.
     """
     opening = _pre_search(g, c, t, n)
     if opening is not None:
         return flow_from_steps(g, c, opening.witness) if opening else None
 
-    # The opening answers whenever the potential, at most |c| * L, is below
-    # n * L.  So here the budget |c| - n is not negative, and edges[0]
-    # exists: without an edge only t has a finite cost, and the potential
-    # is c(t) * L < n * L.
+    # The opening answers whenever the potential is below n * L, and the
+    # potential is at most |c| * L.  So here both budgets are not
+    # negative, and edges[0] exists: without an edge only t has a finite
+    # cost, and the potential is c(t) * L < n * L.
+    rec = _target(g, t)
     total = sum(c)
     dist = bfs_distances(g, t)
     edges = sorted(
-        g.edges, key=lambda e: (dist[e[1]] if dist[e[1]] is not None else total, e)
+        rec.edges, key=lambda e: (dist[e[1]] if dist[e[1]] is not None else total, e)
     )
     budget = total - n  # every flow unit on weight w destroys w - 1 pebbles
-    caps = [budget // (w - 1) for _, _, w in edges]
+    pot_budget = _potential(rec, c) - n * rec.scale
+    caps = [
+        min(budget // (w - 1), pot_budget // drop) if drop else budget // (w - 1)
+        for _, _, w, drop in edges
+    ]
 
-    nv = g.vertex_count
-    in_open = [0] * nv   # cap sum of not-yet-assigned in-edges
-    for (u, v, w), cap in zip(edges, caps):
-        in_open[v] += cap
-    in_got = list(c)     # c(v) + assigned inflow
-    out_spent = [0] * nv  # assigned weighted outflow
-
-    def feasible_completion(spent: int) -> bool:
-        left = budget - spent
-        for v in range(nv):
-            best = in_got[v] + min(in_open[v], left) - out_spent[v]
-            if best < (n if v == t else 0):
-                return False
-        return True
+    # slack[v]: c(v) + assigned inflow - weighted assigned outflow - need;
+    # reach[v]: slack[v] plus the caps of the open edges into v.  A vertex
+    # can end with its need exactly when slack + min(open caps, pebbles
+    # still allowed to go) >= 0, that is when both minima below hold.
+    slack = list(c)
+    slack[t] -= n
+    reach = slack[:]
+    for (_, v, _, _), cap in zip(edges, caps):
+        reach[v] += cap
 
     # Depth-first over the edges in order with an explicit stack:
     # assignment holds the values of edges[:i], and value is the next one
     # to try on edge i = (u, v, w), which is open (its cap is out of
-    # in_open).  After the last edge, in_open is all zero and
-    # feasible_completion is the exact excess check.
+    # reach).  After the last edge, reach equals slack and the test is
+    # the exact excess check.
     assignment: list[int] = []
-    i = spent = 0
-    u, v, w = edges[0]
-    in_open[v] -= caps[0]
+    i = spent = pot_spent = 0
+    u, v, w, drop = edges[0]
+    reach[v] -= caps[0]
     value = caps[0]
     while True:
         if value < 0:
             # Edge i is exhausted: reopen it, back up to edge i - 1.
-            in_open[v] += caps[i]
+            reach[v] += caps[i]
             if i == 0:
                 return None
             i -= 1
-            u, v, w = edges[i]
+            u, v, w, drop = edges[i]
             value = assignment.pop()
-            in_got[v] -= value
-            out_spent[u] -= w * value
+            slack[v] -= value
+            reach[v] -= value
+            slack[u] += w * value
+            reach[u] += w * value
             spent -= (w - 1) * value
+            pot_spent -= drop * value
             value -= 1
             continue
-        in_got[v] += value
-        out_spent[u] += w * value
+        slack[v] += value
+        reach[v] += value
+        slack[u] -= w * value
+        reach[u] -= w * value
         used = spent + (w - 1) * value
-        if not feasible_completion(used):
-            in_got[v] -= value
-            out_spent[u] -= w * value
+        if min(reach) < 0 or min(slack) < used - budget:
+            slack[v] -= value
+            reach[v] -= value
+            slack[u] += w * value
+            reach[u] += w * value
             value -= 1
             continue
         assignment.append(value)
@@ -239,12 +263,15 @@ def solve_via_flow(g: Graph, c: Config, t: int, n: int) -> PebbleFlow | None:
         if i == len(edges):
             break
         spent = used
-        u, v, w = edges[i]
-        in_open[v] -= caps[i]
+        pot_spent += drop * value
+        u, v, w, drop = edges[i]
+        reach[v] -= caps[i]
         value = (budget - spent) // (w - 1)
+        if drop:
+            value = min(value, (pot_budget - pot_spent) // drop)
     flow = {
         (u, v): count
-        for (u, v, _), count in zip(edges, assignment)
+        for (u, v, _, _), count in zip(edges, assignment)
         if count
     }
     return PebbleFlow(g, c, flow)

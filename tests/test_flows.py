@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -22,9 +23,12 @@ from pebbling.graphs import (
     cycle_graph,
     divisor_lattice,
     hypercube_graph,
+    lemke_graph,
+    make_family,
     path_graph,
+    petersen_graph,
 )
-from pebbling.solver import is_solvable, replay
+from pebbling.solver import is_solvable, replay, solvable_quick
 from oracles import random_config, random_connected_graph, random_legal_steps, realize_oracle
 
 
@@ -96,6 +100,20 @@ def test_text_round_trip():
         flow_from_text(g, "what 1 2\n")
 
 
+def test_flow_text_rejects_each_negative_line():
+    # Lines on one edge add up, but each count must be non-negative on
+    # its own, as ``pebbles`` lines must.
+    g = path_graph(3)
+    for text in (
+        "pebbles 0 4\nflow 0 1 -1\nflow 0 1 2\n",
+        "pebbles 0 4\nflow 0 1 3\nflow 0 1 -3\n",
+    ):
+        with pytest.raises(PebblingError, match="negative flow on edge"):
+            flow_from_text(g, text)
+    f = flow_from_text(g, "pebbles 0 4\nflow 0 1 1\nflow 0 1 1\nflow 1 2 0\n")
+    assert f.flow == {(0, 1): 2, (1, 2): 0}
+
+
 def test_solve_via_flow_examples():
     g = hypercube_graph([2, 2, 2])
     heavy = tuple(8 if v == 0 else 0 for v in range(8))
@@ -151,14 +169,123 @@ def test_flow_conservation_random_steps():
         assert all(final[v] >= u.excess(v) for v in range(g.vertex_count))
 
 
+def _random_digraph(rng: random.Random, nv: int) -> Graph:
+    """Each ordered pair an edge of weight 2, 3 or 4 with probability 3/5,
+    so some vertices often cannot reach a given target."""
+    return Graph(nv, tuple(
+        (u, v, w)
+        for u in range(nv)
+        for v in range(nv)
+        if u != v and (w := rng.choice((0, 0, 2, 3, 4)))
+    ))
+
+
+def _sparse_config(rng: random.Random, nv: int, size: int):
+    """size pebbles on two or three random vertices: the concentrated
+    configurations that the quick bounds and the greedy leave open."""
+    support = rng.sample(range(nv), min(nv, rng.randint(2, 3)))
+    counts = [0] * nv
+    for _ in range(size):
+        counts[rng.choice(support)] += 1
+    return tuple(counts)
+
+
 def test_solve_via_flow_agrees_with_is_solvable():
+    # 40 instances that the quick bounds leave open per n in 1..3 on random
+    # connected graphs, and as many on random digraphs with an edge from a
+    # vertex that reaches t into one that does not (potential weight 0).
     rng = random.Random(9)
-    for _ in range(50):
-        g = random_connected_graph(rng, rng.randint(2, 4))
-        c = random_config(rng, g.vertex_count, rng.randint(0, 6))
-        t = rng.randrange(g.vertex_count)
-        f = solve_via_flow(g, c, t, 1)
-        assert (f is None) == (not is_solvable(g, c, t, 1).solvable)
+    solvable = 0
+    for n in (1, 2, 3):
+        for digraph in (False, True):
+            found = 0
+            while found < 40:
+                nv = rng.randint(3, 6)
+                g = _random_digraph(rng, nv) if digraph else random_connected_graph(rng, nv)
+                t = rng.randrange(nv)
+                cost = g.cost_to(t)
+                if digraph and not any(
+                    cost[u] is not None and cost[v] is None for u, v, _ in g.edges
+                ):
+                    continue
+                c = _sparse_config(rng, nv, rng.randint(n, 4 * n + 4))
+                if solvable_quick(g, c, t, n) is not None:
+                    continue
+                found += 1
+                f = solve_via_flow(g, c, t, n)
+                assert (f is None) == (not is_solvable(g, c, t, n).solvable)
+                if f is not None:
+                    solvable += 1
+                    assert is_feasible(f) and f.excess(t) >= n
+    assert solvable == 130
+
+
+def _golden_flow_instances():
+    """Instances (g, c, t, n) that ``solvable_quick`` leaves open: six per
+    graph and n in {1, 2} on C8-C10, Petersen, Q3 and Lemke, with sizes
+    in the third below pi + (n - 1) * max cost, then 60 on random
+    digraphs at n = 1..3."""
+    rng = random.Random(13)
+    named = [
+        (cycle_graph(8), 16),
+        (cycle_graph(9), 21),
+        (cycle_graph(10), 32),
+        (petersen_graph(), 10),
+        (hypercube_graph([2, 2, 2]), 8),
+        (lemke_graph(), 8),
+    ]
+    out = []
+    for g, pi in named:
+        nv = g.vertex_count
+        for n in (1, 2):
+            found = 0
+            while found < 6:
+                t = rng.randrange(nv)
+                top = pi + (n - 1) * max(g.cost_to(t))
+                c = _sparse_config(rng, nv, rng.randint(top - top // 3, top - 1))
+                if solvable_quick(g, c, t, n) is None:
+                    out.append((g, c, t, n))
+                    found += 1
+    while len(out) < 132:
+        nv = rng.randint(2, 6)
+        g = _random_digraph(rng, nv)
+        c = tuple(rng.randint(0, 8) for _ in range(nv))
+        t = rng.randrange(nv)
+        n = rng.randint(1, 3)
+        if solvable_quick(g, c, t, n) is None:
+            out.append((g, c, t, n))
+    return out
+
+
+def test_solve_via_flow_golden():
+    # The flows pinned from the branch and bound that pruned with the
+    # pebble budget alone: the potential budget and the slack/reach check
+    # cut only subtrees without a feasible leaf, so the first leaf found
+    # is the same.
+    results = []
+    for g, c, t, n in _golden_flow_instances():
+        f = solve_via_flow(g, c, t, n)
+        results.append(None if f is None else sorted(f.flow.items()))
+    assert sum(r is None for r in results) == 23
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == (
+        "6b395e14155aa112efda75c29a0d01f05ab2dbc874439553e91659b3dc653237"
+    )
+
+
+def test_solve_via_flow_q4_two_stacks():
+    # Neither stack reaches t = 10 alone (6 pebbles at cost 16, 7 at cost
+    # 8), so the greedy has no witness and the branch and bound decides.
+    start = time.perf_counter()
+    g = make_family("hypercube:2:2:2:2")
+    c = tuple({5: 6, 13: 7}.get(v, 0) for v in range(16))
+    assert is_solvable(g, c, 10, 1).solvable
+    f = solve_via_flow(g, c, 10, 1)
+    assert f is not None and f.flow == {
+        (1, 0): 1, (5, 1): 2, (5, 13): 1, (8, 10): 1, (9, 8): 2, (13, 9): 4,
+    }
+    steps, final = realize(g, f)
+    assert replay(g, c, steps) == final and final[10] >= 1
+    assert time.perf_counter() - start < 20.0
 
 
 @st.composite

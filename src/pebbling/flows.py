@@ -9,11 +9,12 @@ reduces to finding integer edge counts with x >= 0 and x(t) >= n --- an
 integer-programming feasibility problem solved here by branch and bound.
 
 The branch and bound caps each count with two exact budgets: the pebbles
-that may be lost, |c| - n, and the potential sum(c(v) * L / cost(v)) above
-n * L (the weight function of Hurlbert's Weight Function Lemma), which no
-feasible flow can spend.  A partial assignment is kept while every vertex
-can still end with its need, read off two per-vertex lists (its slack and
-its slack plus the caps still open into it) with two ``min`` calls.
+that may be lost, |c| - n, and the part of the potential
+sum(c(v) * L / cost(v)) above n * L (the basic weight function of
+Hurlbert's Weight Function Lemma); a feasible flow spends no more of
+either.  A partial assignment is kept while every vertex can still end
+with its need, read off two per-vertex lists (its slack, and its slack
+plus the caps still open into it) with two ``min`` calls.
 """
 
 from __future__ import annotations

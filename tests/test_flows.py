@@ -181,8 +181,8 @@ def _random_digraph(rng: random.Random, nv: int) -> Graph:
 
 
 def _sparse_config(rng: random.Random, nv: int, size: int):
-    """size pebbles on two or three random vertices: the concentrated
-    configurations that the quick bounds and the greedy leave open."""
+    """size pebbles on two or three random vertices: concentrated
+    configurations, which the quick bounds often leave open."""
     support = rng.sample(range(nv), min(nv, rng.randint(2, 3)))
     counts = [0] * nv
     for _ in range(size):

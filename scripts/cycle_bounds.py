@@ -12,7 +12,7 @@ import argparse
 from pebbling.formulas import pi_cycle
 from pebbling.graphs import cycle_graph
 from pebbling.solver import pebbling_number
-from pebbling.weights import covering_bound, cycle_weight_functions, lp_bound, lp_bound_details
+from pebbling.weights import covering_bound, cycle_weight_functions, lp_bound_details
 
 
 def main() -> None:

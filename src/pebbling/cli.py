@@ -219,14 +219,15 @@ def _cmd_zerosum(args) -> None:
         out = zerosum.divisor_zero_sum(args.n, seq)
     else:
         out = zerosum.gcd_zero_sum(args.n, seq)
-    chosen = sorted(out)
-    total = sum(seq[i - 1] for i in chosen)
-    _emit(args, f"indices {','.join(map(str, chosen))} sum {total}")
+    _emit_subset(args, seq, out)
 
 
 def _cmd_erdos_lemke(args) -> None:
     seq = _parse_seq(args.seq)
-    out = zerosum.erdos_lemke(args.n, args.d, seq)
+    _emit_subset(args, seq, zerosum.erdos_lemke(args.n, args.d, seq))
+
+
+def _emit_subset(args, seq: list[int], out) -> None:
     chosen = sorted(out)
     total = sum(seq[i - 1] for i in chosen)
     _emit(args, f"indices {','.join(map(str, chosen))} sum {total}")

@@ -11,6 +11,7 @@ from math import comb
 
 from .errors import PebblingError
 from .graphs import Graph, diameter
+from .solver import pebbling_number_graph
 
 
 def pi_complete(n: int, k: int) -> int:
@@ -152,8 +153,6 @@ def diameter2_bound(g: Graph) -> int:
 def classify_diameter2(g: Graph, jobs: int = 1) -> tuple[int, int, str]:
     """(bound, brute-forced pi, class): Class-0 when pi equals the vertex
     count, Class-1 when it hits the bound #V + 1."""
-    from .solver import pebbling_number_graph
-
     bound = diameter2_bound(g)
     actual = pebbling_number_graph(g, jobs=jobs)
     label = "Class-0" if actual == g.vertex_count else "Class-1"

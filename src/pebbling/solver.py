@@ -31,7 +31,6 @@ the 2PP check and ``verify_tau`` cut the walk to a support-size window.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import heapq
 import itertools
@@ -341,9 +340,10 @@ def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config |
     if w is not None:
         return w
     scan = functools.partial(_scan_stride, g, t, n, p, jobs)
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
-    with pool:
-        hits = pool.map(scan, range(jobs)) if jobs > 1 else map(scan, range(jobs))
+    if jobs == 1:
+        return scan(0)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        hits = pool.map(scan, range(jobs))
         return min((hit for hit in hits if hit is not None), default=None)
 
 

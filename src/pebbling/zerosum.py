@@ -2,10 +2,11 @@
 
 The generic engine replays a pebbling solution while every pebble carries
 a non-empty set of indices into the input sequence; a caller-supplied
-combiner merges the payloads consumed by each step.  Instantiated on the
-divisor lattice of n this turns solvability of size-n configurations into
-explicit zero-sum subsequences: subsets of divisors summing exactly to n,
-the gcd-weighted variant, and the general divisors-of-n statement.
+combiner merges the payloads consumed by each step, and each payload is
+checked once, as it is placed.  Instantiated on the divisor lattice of n
+this turns solvability of size-n configurations into explicit zero-sum
+subsequences: subsets of divisors summing exactly to n, the gcd-weighted
+variant, and the general divisors-of-n statement.
 """
 
 from __future__ import annotations
@@ -38,35 +39,6 @@ def zero_sum_mod(seq: list[int], n: int) -> IndexSet:
     raise AssertionError("pigeonhole cannot fail on n+1 prefixes mod n")
 
 
-class PayloadState:
-    """Per-vertex FIFO queues of index sets, one per pebble."""
-
-    def __init__(self, vertex_count: int):
-        self.queues: list[deque[IndexSet]] = [deque() for _ in range(vertex_count)]
-
-    def place(self, vertex: int, indices: IndexSet) -> None:
-        self.queues[vertex].append(indices)
-
-    def live_sets(self) -> list[IndexSet]:
-        return [s for q in self.queues for s in q]
-
-    def check(self, well_placed=None) -> None:
-        live = self.live_sets()
-        if any(not s for s in live):
-            raise PebblingError("payload invariant broken: empty index set")
-        if sum(len(s) for s in live) != len(set().union(*live) if live else set()):
-            raise PebblingError("payload invariant broken: overlapping sets")
-        if well_placed is not None:
-            for v, queue in enumerate(self.queues):
-                for s in queue:
-                    _check_placed(well_placed, v, s)
-
-
-def _check_placed(well_placed, v: int, s: IndexSet) -> None:
-    if not well_placed(v, s):
-        raise PebblingError(f"payload at vertex {v} is not well-placed: {sorted(s)}")
-
-
 def pebbling_construction(
     g: Graph,
     t: int,
@@ -80,61 +52,71 @@ def pebbling_construction(
     ``placements`` maps 1-based indices to their starting vertices; each
     step of weight k pops k index sets (FIFO) from its source and pushes
     ``combiner(u, v, sets)`` -- a non-empty subset of their union -- onto
-    its head.  Returns the front payload at the target.  The whole state
-    is validated (with ``well_placed``, when given) before and after the
-    replay, and each step checks only the set it places: a step changes
-    no other payload, and the merged set lies inside what it popped, so
-    the sets stay non-empty and disjoint.
+    its head.  Returns the front payload at the target.  Each payload is
+    checked once, as it is placed (with ``well_placed``, when given): the
+    start payloads are distinct singletons, a merged set lies inside what
+    its step popped, and no step touches any other payload, so the sets
+    stay non-empty and disjoint.
     """
-    state = PayloadState(g.vertex_count)
+    queues: list[deque[IndexSet]] = [deque() for _ in range(g.vertex_count)]
+
+    def place(v: int, s: IndexSet) -> None:
+        if well_placed is not None and not well_placed(v, s):
+            raise PebblingError(
+                f"payload at vertex {v} is not well-placed: {sorted(s)}"
+            )
+        queues[v].append(s)
+
     for i in sorted(placements):
-        state.place(placements[i], frozenset({i}))
-    state.check(well_placed)
+        place(placements[i], frozenset({i}))
     for u, v in steps:
         w = g.weight(u, v)
-        queue = state.queues[u]
+        queue = queues[u]
         if len(queue) < w:
             raise PebblingError(
                 f"step ({u},{v}) needs {w} pebbles, vertex has {len(queue)}"
             )
         popped = [queue.popleft() for _ in range(w)]
-        union = frozenset().union(*popped)
         merged = frozenset(combiner(u, v, popped))
-        if not merged or not merged <= union:
+        if not merged or not merged <= frozenset().union(*popped):
             raise PebblingError(
                 "combiner must return a non-empty subset of the popped union"
             )
-        if well_placed is not None:
-            _check_placed(well_placed, v, merged)
-        state.place(v, merged)
-    state.check(well_placed)
-    if not state.queues[t]:
+        place(v, merged)
+    if not queues[t]:
         raise PebblingError("steps do not deliver a pebble to the target")
-    return state.queues[t][0]
+    return queues[t][0]
 
 
 # One frozen lattice per n, so every replay reuses its per-target record.
 _lattice = lru_cache(maxsize=16)(divisor_lattice)
 
 
-def _lattice_solution(n: int, counts_by_divisor: dict[int, int]):
-    """Graph, divisor -> vertex index, target and step sequence delivering
-    a pebble to vertex n of the divisor lattice from the given per-divisor
-    pebble counts."""
+def _lattice_solution(n: int, starts: list[int]):
+    """Divisor lattice of n, placements of index i at the vertex of the
+    divisor ``starts[i - 1]``, target n, and steps delivering a pebble to
+    it from one pebble per index."""
     g = _lattice(n)
     index = {d: i for i, d in enumerate(g.labels)}
+    placements = {i: index[d] for i, d in enumerate(starts, 1)}
     c = [0] * g.vertex_count
-    for d, count in counts_by_divisor.items():
-        c[index[d]] += count
+    for v in placements.values():
+        c[v] += 1
     t = index[n]
     flow = solve_via_flow(g, tuple(c), t, 1)
     if flow is None:
         raise AssertionError(
-            f"size-{sum(c)} configuration on the divisor lattice of {n} "
+            f"size-{len(starts)} configuration on the divisor lattice of {n} "
             "must be solvable"
         )
     steps, _ = realize(g, flow)
-    return g, index, t, steps
+    return g, placements, t, steps
+
+
+def _require_divisors(n: int, seq: list[int]) -> None:
+    for a in seq:
+        if a < 1 or n % a != 0:
+            raise PebblingError(f"{a} is not a divisor of {n}")
 
 
 def divisor_zero_sum(n: int, divisors: list[int]) -> IndexSet:
@@ -148,14 +130,8 @@ def divisor_zero_sum(n: int, divisors: list[int]) -> IndexSet:
         raise PebblingError(f"need exactly {n} divisors, got {len(divisors)}")
     if n < 1:
         raise PebblingError("need n >= 1")
-    for a in divisors:
-        if a < 1 or n % a != 0:
-            raise PebblingError(f"{a} is not a divisor of {n}")
-    counts: dict[int, int] = {}
-    for a in divisors:
-        counts[a] = counts.get(a, 0) + 1
-    g, index, t, steps = _lattice_solution(n, counts)
-    placements = {i + 1: index[a] for i, a in enumerate(divisors)}
+    _require_divisors(n, divisors)
+    g, placements, t, steps = _lattice_solution(n, divisors)
 
     def combiner(u, v, sets):
         return frozenset().union(*sets)
@@ -185,11 +161,7 @@ def gcd_zero_sum(n: int, seq: list[int]) -> IndexSet:
     if any(a < 1 for a in seq):
         raise PebblingError("entries must be positive")
     gcds = [gcd(n, a) for a in seq]
-    counts: dict[int, int] = {}
-    for d in gcds:
-        counts[d] = counts.get(d, 0) + 1
-    g, index, t, steps = _lattice_solution(n, counts)
-    placements = {i + 1: index[d] for i, d in enumerate(gcds)}
+    g, placements, t, steps = _lattice_solution(n, gcds)
 
     def combiner(u, v, sets):
         d = g.labels[u]
@@ -218,9 +190,7 @@ def erdos_lemke(n: int, d: int, seq: list[int]) -> IndexSet:
         raise PebblingError("need d >= 1 dividing n")
     if len(seq) != d:
         raise PebblingError(f"need exactly {d} entries, got {len(seq)}")
-    for a in seq:
-        if a < 1 or n % a != 0:
-            raise PebblingError(f"{a} is not a divisor of {n}")
+    _require_divisors(n, seq)
     out = gcd_zero_sum(d, seq)
     total = sum(seq[i - 1] for i in out)
     if total % d != 0 or total > n:

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from pebbling.cli import main
-from pebbling.graphs import cycle_graph
 
 
 def run(capsys, *argv):

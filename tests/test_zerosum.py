@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from math import gcd
@@ -7,7 +8,6 @@ import pytest
 from pebbling.errors import PebblingError
 from pebbling.graphs import path_graph
 from pebbling.zerosum import (
-    PayloadState,
     divisor_zero_sum,
     erdos_lemke,
     gcd_zero_sum,
@@ -37,18 +37,28 @@ def test_zero_sum_mod_errors():
         zero_sum_mod([], 0)
 
 
-def test_payload_state_invariants():
-    s = PayloadState(2)
-    s.place(0, frozenset({1}))
-    s.place(1, frozenset({2}))
-    s.check()
-    s.place(0, frozenset({2}))  # overlaps the set at vertex 1
-    with pytest.raises(PebblingError, match="overlapping"):
-        s.check()
-    s2 = PayloadState(1)
-    s2.place(0, frozenset())
-    with pytest.raises(PebblingError, match="empty"):
-        s2.check()
+def test_pebbling_construction_rejects_empty_merge():
+    g = path_graph(2)
+    with pytest.raises(PebblingError, match="non-empty subset"):
+        pebbling_construction(
+            g, 1, {1: 0, 2: 0}, lambda u, v, sets: frozenset(), [(0, 1)]
+        )
+
+
+def test_pebbling_construction_rejects_badly_placed_start():
+    # Each start payload is checked as it is placed, in index order, so
+    # of the two bad starts (indices 2 and 3) index 2 is reported.
+    g = path_graph(3)
+
+    def well_placed(v, s):
+        return v == 0
+
+    with pytest.raises(
+        PebblingError, match="vertex 2 is not well-placed: \\[2\\]"
+    ):
+        pebbling_construction(
+            g, 2, {1: 0, 2: 2, 3: 1}, lambda u, v, sets: sets[0], [], well_placed
+        )
 
 
 def test_pebbling_construction_checks_steps_and_combiner():
@@ -152,3 +162,36 @@ def test_erdos_lemke_structured_60():
     out = erdos_lemke(60, 60, seq)
     total = sum(seq[i - 1] for i in out)
     assert total % 60 == 0 and 0 < total <= 60
+
+
+def _golden_zero_sums():
+    """Subsets returned on 20 seeded inputs each of ``divisor_zero_sum``
+    and ``erdos_lemke`` (d = n) at n in {60, 120, 360, 720}, with entries
+    drawn from the divisors <= 6; the ROADMAP Erdos-Lemke sequence; and
+    300 seeded ``gcd_zero_sum`` inputs with n in 1..40."""
+    rng = random.Random(14)
+    out = []
+    for n in (60, 120, 360, 720):
+        small = [d for d in range(1, 7) if n % d == 0]
+        for _ in range(20):
+            seq = [rng.choice(small) for _ in range(n)]
+            out.append(sorted(divisor_zero_sum(n, seq)))
+            seq = [rng.choice(small) for _ in range(n)]
+            out.append(sorted(erdos_lemke(n, n, seq)))
+    seq = [1] * 29 + [2] * 15 + [3] * 10 + [5] * 6
+    out.append(sorted(erdos_lemke(60, 60, seq)))
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        seq = [rng.randint(1, 100) for _ in range(n)]
+        out.append(sorted(gcd_zero_sum(n, seq)))
+    return out
+
+
+def test_zero_sum_golden():
+    # A change to the replay or to the lattice set-up must return these
+    # same subsets, not merely valid ones.
+    results = _golden_zero_sums()
+    assert len(results) == 461
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == (
+        "5d7333e6903c86d0fc9e66d534c337c2ad7e670f5b1480b887e3e4c601e91b80"
+    )

@@ -13,8 +13,10 @@ that may be lost, |c| - n, and the part of the potential
 sum(c(v) * L / cost(v)) above n * L (the basic weight function of
 Hurlbert's Weight Function Lemma); a feasible flow spends no more of
 either.  A partial assignment is kept while every vertex can still end
-with its need, read off two per-vertex lists (its slack, and its slack
-plus the caps still open into it) with two ``min`` calls.
+with its need, read off two per-vertex lists: its slack, and its slack
+plus the caps still open into it.  Only the edge being opened and the
+pebbles spent move with its count, so the counts that keep this are an
+interval, computed once per edge; the search tries only those.
 """
 
 from __future__ import annotations
@@ -188,91 +190,117 @@ def solve_via_flow(g: Graph, c: Config, t: int, n: int) -> PebbleFlow | None:
     took all the pebbles still allowed to go.  Both cuts only drop
     subtrees without a feasible leaf, so the first leaf found, the
     returned flow, does not depend on them.
+
+    The cut is monotone in the count x of the edge (u, v, w) being
+    opened: only u, v and the pebbles spent move with x.  So the counts
+    that pass form an interval [lo, hi], computed when the edge opens
+    from u, v and one ``min`` over the other vertices, and the walk tries
+    hi, hi - 1, ..., lo; a count outside it has no subtree to search.
     """
     opening = _pre_search(g, c, t, n)
     if opening is not None:
         return flow_from_steps(g, c, opening.witness) if opening else None
 
     # The opening answers whenever the potential is below n * L, and the
-    # potential is at most |c| * L.  So here both budgets are not
-    # negative, and edges[0] exists: without an edge only t has a finite
-    # cost, and the potential is c(t) * L < n * L.
+    # potential is at most |c| * L.  So here both budgets are not negative.
     rec = _target(g, t)
     total = sum(c)
     dist = bfs_distances(g, t)
-    edges = sorted(
-        rec.edges, key=lambda e: (dist[e[1]] if dist[e[1]] is not None else total, e)
-    )
     budget = total - n  # every flow unit on weight w destroys w - 1 pebbles
     pot_budget = _potential(rec, c) - n * rec.scale
-    caps = [
-        min(budget // (w - 1), pot_budget // drop) if drop else budget // (w - 1)
-        for _, _, w, drop in edges
-    ]
+    # Each edge with its cap; an edge whose cap is 0 can only carry 0, so
+    # it is left out of the search.
+    edges = []
+    for u, v, w, drop in sorted(
+        rec.edges, key=lambda e: (dist[e[1]] if dist[e[1]] is not None else total, e)
+    ):
+        cap = budget // (w - 1)
+        if drop:
+            cap = min(cap, pot_budget // drop)
+        if cap:
+            edges.append((u, v, w, drop, cap))
 
     # slack[v]: c(v) + assigned inflow - weighted assigned outflow - need;
     # reach[v]: slack[v] plus the caps of the open edges into v.  A vertex
     # can end with its need exactly when slack + min(open caps, pebbles
-    # still allowed to go) >= 0, that is when both minima below hold.
+    # still allowed to go) >= 0, that is when reach >= 0 and
+    # slack >= spent - budget.  Each edge's interval assumes this holds
+    # before its count is set, so the empty assignment is checked here.
+    # Then edges[0] exists: without an edge reach[t] = c(t) - n < 0.
     slack = list(c)
     slack[t] -= n
     reach = slack[:]
-    for (_, v, _, _), cap in zip(edges, caps):
+    for _, v, _, _, cap in edges:
         reach[v] += cap
+    if min(reach) < 0 or min(slack) < -budget:
+        return None
 
     # Depth-first over the edges in order with an explicit stack:
-    # assignment holds the values of edges[:i], and value is the next one
-    # to try on edge i = (u, v, w), which is open (its cap is out of
-    # reach).  After the last edge, reach equals slack and the test is
-    # the exact excess check.
+    # assignment holds the values of edges[:i].  Opening edge
+    # i = (u, v, w) takes its cap out of reach[v].  A count x then passes
+    # when, with room = budget - spent:
+    #   reach[u] - w x >= 0 and slack[u] - w x >= spent + (w - 1) x - budget;
+    #   reach[v] + x >= 0 and slack[v] + x >= spent + (w - 1) x - budget;
+    #   slack[y] >= spent + (w - 1) x - budget for every other y.
+    # After the last edge, reach equals slack and this is the exact
+    # excess check.  Every bound on x but lo is at least 0 while the
+    # conditions held before, so when reach[u] < w the interval is [0, 0]
+    # or empty, with no other bound to compute.
     assignment: list[int] = []
     i = spent = pot_spent = 0
-    u, v, w, drop = edges[0]
-    reach[v] -= caps[0]
-    value = caps[0]
     while True:
-        if value < 0:
+        u, v, w, drop, cap = edges[i]
+        reach[v] -= cap
+        lo = -reach[v] if reach[v] < 0 else 0
+        hi = reach[u] // w
+        if hi and hi >= lo:
+            room = budget - spent
+            # min(slack) over y != v: u stands in for v, as u != v.
+            held = slack[v]
+            slack[v] = slack[u]
+            hi = min(
+                hi,
+                room // (w - 1),
+                (slack[u] + room) // (2 * w - 1),
+                (min(slack) + room) // (w - 1),
+            )
+            slack[v] = held
+            if w > 2:
+                hi = min(hi, (held + room) // (w - 2))
+            if drop:
+                hi = min(hi, (pot_budget - pot_spent) // drop)
+        value = hi
+        while value < lo:
             # Edge i is exhausted: reopen it, back up to edge i - 1.
-            reach[v] += caps[i]
+            reach[v] += cap
             if i == 0:
                 return None
             i -= 1
-            u, v, w, drop = edges[i]
+            u, v, w, drop, cap = edges[i]
             value = assignment.pop()
-            slack[v] -= value
-            reach[v] -= value
-            slack[u] += w * value
-            reach[u] += w * value
-            spent -= (w - 1) * value
-            pot_spent -= drop * value
+            if value:
+                slack[v] -= value
+                reach[v] -= value
+                slack[u] += w * value
+                reach[u] += w * value
+                spent -= (w - 1) * value
+                pot_spent -= drop * value
             value -= 1
-            continue
-        slack[v] += value
-        reach[v] += value
-        slack[u] -= w * value
-        reach[u] -= w * value
-        used = spent + (w - 1) * value
-        if min(reach) < 0 or min(slack) < used - budget:
-            slack[v] -= value
-            reach[v] -= value
-            slack[u] += w * value
-            reach[u] += w * value
-            value -= 1
-            continue
+            lo = -reach[v] if reach[v] < 0 else 0
+        if value:
+            slack[v] += value
+            reach[v] += value
+            slack[u] -= w * value
+            reach[u] -= w * value
+            spent += (w - 1) * value
+            pot_spent += drop * value
         assignment.append(value)
         i += 1
         if i == len(edges):
             break
-        spent = used
-        pot_spent += drop * value
-        u, v, w, drop = edges[i]
-        reach[v] -= caps[i]
-        value = (budget - spent) // (w - 1)
-        if drop:
-            value = min(value, (pot_budget - pot_spent) // drop)
     flow = {
         (u, v): count
-        for (u, v, _, _), count in zip(edges, assignment)
+        for (u, v, _, _, _), count in zip(edges, assignment)
         if count
     }
     return PebbleFlow(g, c, flow)

@@ -35,7 +35,6 @@ import functools
 import heapq
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import configs
@@ -342,6 +341,8 @@ def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config |
     scan = functools.partial(_scan_stride, g, t, n, p, jobs)
     if jobs == 1:
         return scan(0)
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         hits = pool.map(scan, range(jobs))
         return min((hit for hit in hits if hit is not None), default=None)

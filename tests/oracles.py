@@ -390,3 +390,87 @@ def two_pp_oracle(g: Graph, pi: int, variant: str = "support"):
                 if _unsolvable(g, c, t, 2):
                     return False, (c, t)
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# The flow branch and bound, testing every value.
+#
+# ``solve_via_flow_oracle`` is the per-value loop the package's interval
+# walk was optimised from: on the edge being opened it tries every count
+# from the budget cap down to 0, applies it and keeps it only when every
+# vertex can still end with its need, with two ``min`` calls over V.  The
+# package computes once per edge the interval of counts that pass and
+# tries only those, in the same order, so both return the same flow.
+
+
+def solve_via_flow_oracle(g: Graph, c, t: int, n: int):
+    from pebbling.flows import PebbleFlow, flow_from_steps
+    from pebbling.graphs import bfs_distances
+    from pebbling.solver import _potential, _pre_search, _target
+
+    opening = _pre_search(g, c, t, n)
+    if opening is not None:
+        return flow_from_steps(g, c, opening.witness) if opening else None
+    rec = _target(g, t)
+    total = sum(c)
+    dist = bfs_distances(g, t)
+    edges = sorted(
+        rec.edges, key=lambda e: (dist[e[1]] if dist[e[1]] is not None else total, e)
+    )
+    budget = total - n
+    pot_budget = _potential(rec, c) - n * rec.scale
+    caps = [
+        min(budget // (w - 1), pot_budget // drop) if drop else budget // (w - 1)
+        for _, _, w, drop in edges
+    ]
+    slack = list(c)
+    slack[t] -= n
+    reach = slack[:]
+    for (_, v, _, _), cap in zip(edges, caps):
+        reach[v] += cap
+    assignment = []
+    i = spent = pot_spent = 0
+    u, v, w, drop = edges[0]
+    reach[v] -= caps[0]
+    value = caps[0]
+    while True:
+        if value < 0:
+            reach[v] += caps[i]
+            if i == 0:
+                return None
+            i -= 1
+            u, v, w, drop = edges[i]
+            value = assignment.pop()
+            slack[v] -= value
+            reach[v] -= value
+            slack[u] += w * value
+            reach[u] += w * value
+            spent -= (w - 1) * value
+            pot_spent -= drop * value
+            value -= 1
+            continue
+        slack[v] += value
+        reach[v] += value
+        slack[u] -= w * value
+        reach[u] -= w * value
+        used = spent + (w - 1) * value
+        if min(reach) < 0 or min(slack) < used - budget:
+            slack[v] -= value
+            reach[v] -= value
+            slack[u] += w * value
+            reach[u] += w * value
+            value -= 1
+            continue
+        assignment.append(value)
+        i += 1
+        if i == len(edges):
+            break
+        spent = used
+        pot_spent += drop * value
+        u, v, w, drop = edges[i]
+        reach[v] -= caps[i]
+        value = (budget - spent) // (w - 1)
+        if drop:
+            value = min(value, (pot_budget - pot_spent) // drop)
+    flow = {(u, v): k for (u, v, _, _), k in zip(edges, assignment) if k}
+    return PebbleFlow(g, c, flow)

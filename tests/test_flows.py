@@ -29,7 +29,13 @@ from pebbling.graphs import (
     petersen_graph,
 )
 from pebbling.solver import is_solvable, replay, solvable_quick
-from oracles import random_config, random_connected_graph, random_legal_steps, realize_oracle
+from oracles import (
+    random_config,
+    random_connected_graph,
+    random_legal_steps,
+    realize_oracle,
+    solve_via_flow_oracle,
+)
 
 
 def test_excess_is_final_count():
@@ -259,9 +265,10 @@ def _golden_flow_instances():
 
 def test_solve_via_flow_golden():
     # The flows pinned from the branch and bound that pruned with the
-    # pebble budget alone: the potential budget and the slack/reach check
-    # cut only subtrees without a feasible leaf, so the first leaf found
-    # is the same.
+    # pebble budget alone.  The potential budget and the slack/reach check
+    # cut only subtrees without a feasible leaf, the interval walk skips
+    # only the counts that check would cut, and an edge left out for a cap
+    # of 0 could only carry 0, so the first leaf found is the same.
     results = []
     for g, c, t, n in _golden_flow_instances():
         f = solve_via_flow(g, c, t, n)
@@ -288,6 +295,49 @@ def test_solve_via_flow_q4_two_stacks():
     assert time.perf_counter() - start < 20.0
 
 
+def test_solve_via_flow_petersen_n26():
+    # The ROADMAP instance on the flow route: unsolvable, proved by the
+    # branch and bound.  Only the flow side is pinned: is_solvable keeps
+    # every failed configuration in an unbounded set and raises
+    # MemoryError here.
+    start = time.perf_counter()
+    c = (5, 10, 11, 5, 5, 1, 5, 11, 7, 9)
+    assert solve_via_flow(petersen_graph(), c, 3, 26) is None
+    assert time.perf_counter() - start < 10.0
+
+
+@st.composite
+def random_digraphs(draw):
+    """A digraph with 2-6 vertices, each ordered pair an edge of weight 2,
+    3 or 4 or no edge."""
+    nv = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(nv) for v in range(nv) if u != v]
+    weights = draw(
+        st.lists(st.sampled_from((0, 2, 3, 4)), min_size=len(pairs), max_size=len(pairs))
+    )
+    return Graph(nv, tuple((u, v, w) for (u, v), w in zip(pairs, weights) if w))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    random_digraphs(),
+    st.lists(st.one_of(st.just(0), st.integers(0, 12)), min_size=6, max_size=6),
+)
+def test_solve_via_flow_matches_the_per_value_loop(g, counts):
+    # Up to 12 pebbles per vertex, about half of the vertices empty so
+    # that the quick opening leaves some instances to the branch and
+    # bound; every target at n = 1..3.
+    c = tuple(counts[: g.vertex_count])
+    for t in range(g.vertex_count):
+        for n in (1, 2, 3):
+            f = solve_via_flow(g, c, t, n)
+            expected = solve_via_flow_oracle(g, c, t, n)
+            if expected is None:
+                assert f is None
+            else:
+                assert f is not None and list(f.flow.items()) == list(expected.flow.items())
+
+
 @st.composite
 def feasible_flows(draw):
     """A graph and a feasible flow.  Either ``solve_via_flow``'s flow on
@@ -306,12 +356,8 @@ def feasible_flows(draw):
             counts[v] += 1
         f = solve_via_flow(g, tuple(counts), nv - 1, 1)
         return g, f
-    nv = draw(st.integers(2, 6))
-    pairs = [(u, v) for u in range(nv) for v in range(nv) if u != v]
-    weights = draw(
-        st.lists(st.sampled_from((0, 2, 3, 4)), min_size=len(pairs), max_size=len(pairs))
-    )
-    g = Graph(nv, tuple((u, v, w) for (u, v), w in zip(pairs, weights) if w))
+    g = draw(random_digraphs())
+    nv = g.vertex_count
     c = tuple(draw(st.lists(st.integers(0, 12), min_size=nv, max_size=nv)))
     if kind == "steps":
         rng = random.Random(draw(st.integers(0, 10**6)))

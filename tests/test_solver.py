@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,6 +254,25 @@ def test_worker_count_below_one_raises():
             pebbling_number(path_graph(3), 0, jobs=jobs)
         with pytest.raises(PebblingError, match="jobs >= 1"):
             pebbling_number_graph(path_graph(3), jobs=jobs)
+
+
+def test_import_leaves_the_process_pool_out():
+    # Only find_unsolvable with jobs > 1 needs a pool; a fresh interpreter
+    # that imports the package and its CLI loads no multiprocessing.
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, pebbling, pebbling.cli; print('multiprocessing' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 def test_nothing_is_zero_fold_unsolvable():

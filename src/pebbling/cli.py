@@ -56,8 +56,7 @@ def _load_config(args, g: Graph) -> configs.Config:
 
 def _load_steps(path: str):
     with open(path) as fh:
-        records = configs.text_records(fh.read(), "step", {"step": 2})
-        return [(int(u), int(v)) for _, (u, v) in records]
+        return [s for _, s in configs.text_records(fh.read(), "step", {"step": (int, int)})]
 
 
 def _emit(args, result, witness=None, steps=None) -> None:
@@ -84,20 +83,16 @@ def _parse_seq(text: str) -> list[int]:
         raise PebblingError(f"malformed integer sequence: {text!r}") from exc
 
 
-def _cmd_pi(args) -> None:
-    g = _load_graph(args)
+def _cmd_pi(args, g: Graph) -> None:
     out = solver.pebbling_number(g, args.target, args.n, jobs=args.jobs)
     _emit(args, out.value, witness=out.witness_unsolvable)
 
 
-def _cmd_pi_all(args) -> None:
-    g = _load_graph(args)
+def _cmd_pi_all(args, g: Graph) -> None:
     _emit(args, solver.pebbling_number_graph(g, jobs=args.jobs))
 
 
-def _cmd_solve(args) -> None:
-    g = _load_graph(args)
-    c = _load_config(args, g)
+def _cmd_solve(args, g: Graph, c: configs.Config) -> None:
     if args.replay:
         final = solver.replay(g, c, _load_steps(args.replay))
         _emit(args, "replayed", witness=final)
@@ -111,9 +106,7 @@ def _cmd_solve(args) -> None:
     )
 
 
-def _cmd_flow(args) -> None:
-    g = _load_graph(args)
-    c = _load_config(args, g)
+def _cmd_flow(args, g: Graph, c: configs.Config) -> None:
     f = flows.solve_via_flow(g, c, args.target, args.n)
     if f is None:
         _emit(args, "infeasible")
@@ -136,8 +129,7 @@ def _cmd_flow(args) -> None:
         print(f"excess {v} {x}")
 
 
-def _cmd_witness(args) -> None:
-    g = _load_graph(args)
+def _cmd_witness(args, g: Graph) -> None:
     w = solver.find_unsolvable(g, args.target, 1, args.size, jobs=args.jobs)
     if w is None:
         _emit(args, "none")
@@ -152,8 +144,7 @@ def _given_pi(args, g: Graph) -> int:
     return args.pi
 
 
-def _cmd_2pp(args) -> None:
-    g = _load_graph(args)
+def _cmd_2pp(args, g: Graph) -> None:
     pi = _given_pi(args, g)
     holds, ce = solver.has_2pp(g, pi, variant=args.variant)
     if holds:
@@ -163,20 +154,17 @@ def _cmd_2pp(args) -> None:
         _emit(args, f"fails for target {t}", witness=c)
 
 
-def _cmd_tau(args) -> None:
-    g = _load_graph(args)
+def _cmd_tau(args, g: Graph) -> None:
     ok = solver.verify_tau(g, args.target, args.n, args.k, args.p, args.m_max)
     _emit(args, "certified" if ok else "refuted")
 
 
-def _cmd_optimal_pi(args) -> None:
-    g = _load_graph(args)
+def _cmd_optimal_pi(args, g: Graph) -> None:
     size, c = solver.optimal_pebbling_number(g)
     _emit(args, size, witness=c)
 
 
-def _cmd_tree_pi(args) -> None:
-    g = _load_graph(args)
+def _cmd_tree_pi(args, g: Graph) -> None:
     _emit(args, formulas.pi_tree(g, args.root, args.k, args.n))
 
 
@@ -192,19 +180,16 @@ def _load_wfs(args, g: Graph):
     return ws
 
 
-def _cmd_wf_validate(args) -> None:
-    g = _load_graph(args)
+def _cmd_wf_validate(args, g: Graph) -> None:
     ws = _load_wfs(args, g)
     _emit(args, all(weights.validate_weight_function(g, w) for w in ws))
 
 
-def _cmd_wf_bound(args) -> None:
-    g = _load_graph(args)
+def _cmd_wf_bound(args, g: Graph) -> None:
     _emit(args, weights.covering_bound(g, _load_wfs(args, g)))
 
 
-def _cmd_lp_bound(args) -> None:
-    g = _load_graph(args)
+def _cmd_lp_bound(args, g: Graph) -> None:
     ws = _load_wfs(args, g)
     _emit(args, weights.lp_bound(g, ws[0].target, ws))
 
@@ -233,8 +218,7 @@ def _emit_subset(args, seq: list[int], out) -> None:
     _emit(args, f"indices {','.join(map(str, chosen))} sum {total}")
 
 
-def _cmd_emit_smv(args) -> None:
-    g = _load_graph(args)
+def _cmd_emit_smv(args, g: Graph) -> None:
     if args.two_pp:
         model = smv.emit_2pp_model(g, _given_pi(args, g))
     else:
@@ -345,8 +329,14 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         parser.error(f"argument --jobs: need at least 1, got {args.jobs}")
     try:
-        args.fn(args)
-    except (PebblingError, OSError, ValueError) as exc:
+        # The graph and, for solve and flow, the configuration, loaded once.
+        inputs = []
+        if "family" in vars(args):
+            inputs.append(_load_graph(args))
+        if "place" in vars(args):
+            inputs.append(_load_config(args, inputs[0]))
+        args.fn(args, *inputs)
+    except (PebblingError, OSError, ValueError) as exc:  # ValueError: an undecodable file
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

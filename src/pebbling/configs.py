@@ -195,29 +195,41 @@ def config_from_pairs(vertex_count: int, pairs) -> Config:
     return tuple(counts)
 
 
+def check_config(c: Config, vertex_count: int) -> None:
+    """Reject anything but one non-negative int per vertex."""
+    if len(c) != vertex_count:
+        raise PebblingError(f"configuration has {len(c)} entries for {vertex_count} vertices")
+    for x in c:  # a plain loop: this runs once per decision
+        if type(x) is not int or x < 0:  # bool is an int
+            raise PebblingError("pebble counts must be non-negative integers")
+
+
 def text_records(
-    text: str, what: str, fields: dict[str, int]
-) -> Iterator[tuple[str, list[str]]]:
+    text: str, what: str, fields: dict[str, tuple]
+) -> Iterator[tuple[str, tuple]]:
     """The line format shared by every text file: `#` starts a comment,
     blank lines are skipped, and each other line is a keyword followed by
-    exactly ``fields[keyword]`` fields.  Yields (keyword, fields)."""
+    one field per converter in ``fields[keyword]`` (``int``,
+    ``Fraction``).  Yields (keyword, converted fields)."""
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         keyword, *rest = line.split()
-        if fields.get(keyword) != len(rest):
+        convert = fields.get(keyword)
+        if convert is None or len(convert) != len(rest):
             raise PebblingError(f"unrecognized {what} line: {raw!r}")
-        yield keyword, rest
+        try:
+            values = tuple(f(x) for f, x in zip(convert, rest))
+        except (ValueError, ZeroDivisionError):
+            raise PebblingError(f"malformed number in {what} line: {raw!r}") from None
+        yield keyword, values
 
 
 def config_from_text(text: str, vertex_count: int) -> Config:
     """Parse `pebbles <vertex> <count>` lines; omitted vertices are zero."""
-    pairs = [
-        (int(v), int(x))
-        for _, (v, x) in text_records(text, "configuration", {"pebbles": 2})
-    ]
-    return config_from_pairs(vertex_count, pairs)
+    records = text_records(text, "configuration", {"pebbles": (int, int)})
+    return config_from_pairs(vertex_count, [pair for _, pair in records])
 
 
 def config_to_text(c: Config) -> str:
@@ -226,9 +238,11 @@ def config_to_text(c: Config) -> str:
 
 
 def config_from_json(text: str, vertex_count: int) -> Config:
-    values = json.loads(text)
-    if not isinstance(values, list) or len(values) != vertex_count:
-        raise PebblingError("JSON configuration must be a list of length n")
-    if any(type(x) is not int or x < 0 for x in values):  # bool is an int
-        raise PebblingError("pebble counts must be non-negative integers")
+    try:
+        values = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise PebblingError(f"malformed JSON configuration: {exc}") from None
+    if not isinstance(values, list):
+        raise PebblingError("JSON configuration must be a list")
+    check_config(values, vertex_count)
     return tuple(values)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .configs import Config, config_from_pairs, config_to_text, text_records
+from .configs import Config, check_config, config_from_pairs, config_to_text, text_records
 from .errors import PebblingError
 from .graphs import Graph, bfs_distances
 from .solver import Step, _potential, _pre_search, _target, replay
@@ -38,8 +38,7 @@ class PebbleFlow:
     flow: FlowMap
 
     def __post_init__(self):
-        if len(self.config) != self.graph.vertex_count:
-            raise PebblingError("configuration size mismatch")
+        check_config(self.config, self.graph.vertex_count)
         for (u, v), count in self.flow.items():
             if not self.graph.has_edge(u, v):
                 raise PebblingError(f"flow on missing edge ({u},{v})")
@@ -163,11 +162,13 @@ def flow_to_text(f: PebbleFlow) -> str:
 def flow_from_text(g: Graph, text: str) -> PebbleFlow:
     pairs = []
     flow: FlowMap = {}
-    for keyword, fields in text_records(text, "flow", {"pebbles": 2, "flow": 3}):
+    for keyword, fields in text_records(
+        text, "flow", {"pebbles": (int, int), "flow": (int, int, int)}
+    ):
         if keyword == "pebbles":
-            pairs.append((int(fields[0]), int(fields[1])))
+            pairs.append(fields)
         else:
-            u, v, count = map(int, fields)
+            u, v, count = fields
             if count < 0:
                 raise PebblingError(f"negative flow on edge ({u},{v})")
             flow[(u, v)] = flow.get((u, v), 0) + count

@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .configs import text_records
+from .configs import check_config, text_records
 from .errors import PebblingError
 
 Edge = tuple[int, int, int]  # (from, to, weight)
@@ -101,13 +101,15 @@ def graph_from_text(text: str) -> Graph:
     """Parse the line-oriented graph format (one `vertices n`, `edge u v k`)."""
     n = None
     edges = []
-    for keyword, fields in text_records(text, "graph", {"vertices": 1, "edge": 3}):
-        if keyword == "vertices":
-            if n is not None:
-                raise PebblingError("repeated 'vertices' line")
-            n = int(fields[0])
+    for keyword, fields in text_records(
+        text, "graph", {"vertices": (int,), "edge": (int, int, int)}
+    ):
+        if keyword == "edge":
+            edges.append(fields)
+        elif n is None:
+            (n,) = fields
         else:
-            edges.append(tuple(map(int, fields)))
+            raise PebblingError("repeated 'vertices' line")
     if n is None:
         raise PebblingError("missing 'vertices' line")
     return Graph(n, tuple(edges))
@@ -244,22 +246,27 @@ def _parse_int(s: str, minimum: int, what: str) -> int:
     return value
 
 
+# kind -> (builder, (name, minimum) per argument); hypercube and grid
+# take any number of arguments and have their own lines.
+_SIZE_AND_WEIGHT = (("size", 1), ("weight", 2))
+_FAMILIES = {
+    "complete": (complete_graph, _SIZE_AND_WEIGHT),
+    "cycle": (cycle_graph, _SIZE_AND_WEIGHT),
+    "path": (path_graph, _SIZE_AND_WEIGHT),
+    "star": (star_graph, _SIZE_AND_WEIGHT),
+    "instar": (instar_graph, _SIZE_AND_WEIGHT),
+    "arrow": (arrow_graph, (("weight", 2),)),
+    "divisor_lattice": (divisor_lattice, (("n", 1),)),
+    "petersen": (petersen_graph, ()),
+    "lemke": (lemke_graph, ()),
+}
+
+
 def _make_single_family(spec: str) -> Graph:
-    parts = spec.strip().split(":")
-    kind, args = parts[0], parts[1:]
-    if kind in ("petersen", "lemke"):
-        if args:
-            raise PebblingError(f"{kind} takes no arguments, got {spec!r}")
-        return petersen_graph() if kind == "petersen" else lemke_graph()
-    if kind == "arrow":
-        (k,) = args
-        return arrow_graph(_parse_int(k, 2, "weight"))
-    if kind == "divisor_lattice":
-        (n,) = args
-        return divisor_lattice(_parse_int(n, 1, "n"))
+    spec = spec.strip()
+    kind, *args = spec.split(":")
     if kind == "hypercube":
-        ks = [_parse_int(a, 2, "weight") for a in args]
-        return hypercube_graph(ks)
+        return hypercube_graph([_parse_int(a, 2, "weight") for a in args])
     if kind == "grid":
         if len(args) % 2 != 0 or not args:
             raise PebblingError("grid takes n:k pairs, e.g. grid:3:2:2:2")
@@ -268,20 +275,13 @@ def _make_single_family(spec: str) -> Graph:
             for i in range(0, len(args), 2)
         ]
         return grid_graph(dims)
-    if kind in ("complete", "cycle", "path", "star", "instar"):
-        n_s, k_s = args
-        n = _parse_int(n_s, 1, "size")
-        k = _parse_int(k_s, 2, "weight")
-        if kind == "complete":
-            return complete_graph(n, k)
-        if kind == "cycle":
-            return cycle_graph(n, k)
-        if kind == "path":
-            return path_graph(n, k)
-        if kind == "star":
-            return star_graph(n, k)
-        return instar_graph(n, k)
-    raise PebblingError(f"unknown graph family: {spec!r}")
+    if kind not in _FAMILIES:
+        raise PebblingError(f"unknown graph family: {spec!r}")
+    build, params = _FAMILIES[kind]
+    if len(args) != len(params):
+        plural = "" if len(params) == 1 else "s"
+        raise PebblingError(f"{kind} takes {len(params)} argument{plural}, got {spec!r}")
+    return build(*(_parse_int(a, low, name) for a, (name, low) in zip(args, params)))
 
 
 def make_family(spec: str) -> Graph:
@@ -295,10 +295,7 @@ def make_family(spec: str) -> Graph:
     factors = spec.split("x")
     if not all(part.strip() for part in factors):
         raise PebblingError(f"empty product factor in {spec!r}")
-    try:
-        graphs = [_make_single_family(f) for f in factors]
-    except ValueError as exc:  # unpacking errors from wrong arity
-        raise PebblingError(f"malformed family descriptor {spec!r}") from exc
+    graphs = [_make_single_family(f) for f in factors]
     g = graphs[0]
     for h in graphs[1:]:
         g = cartesian_product(g, h)
@@ -364,8 +361,7 @@ def pullback_config(h: Homomorphism, c: tuple[int, ...]) -> tuple[int, ...]:
     the lowest-id preimage of each target vertex receives its pebbles."""
     if not h.is_surjective():
         raise PebblingError("pullback needs a surjective homomorphism")
-    if len(c) != h.target.vertex_count:
-        raise PebblingError("configuration size mismatch")
+    check_config(c, h.target.vertex_count)
     representative: dict[int, int] = {}
     for u, img in enumerate(h.mapping):
         representative.setdefault(img, u)

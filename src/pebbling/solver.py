@@ -61,6 +61,7 @@ def apply_step(g: Graph, c: Config, u: int, v: int) -> Config:
 
 
 def replay(g: Graph, c: Config, steps) -> Config:
+    configs.check_config(c, g.vertex_count)
     work = list(c)
     for u, v in steps:
         w = g.weight(u, v)
@@ -73,15 +74,13 @@ def replay(g: Graph, c: Config, steps) -> Config:
 
 def _check_instance(g: Graph, c: Config | None, t: int, n: int) -> None:
     """Reject a target that is not a vertex, a negative n, or a
-    configuration whose length is not the vertex count."""
+    configuration (when given) that ``configs.check_config`` rejects."""
     if not 0 <= t < g.vertex_count:
         raise PebblingError(f"target {t} is not a vertex (0..{g.vertex_count - 1})")
     if n < 0:
         raise PebblingError(f"need n >= 0, got {n}")
-    if c is not None and len(c) != g.vertex_count:
-        raise PebblingError(
-            f"configuration has {len(c)} entries for {g.vertex_count} vertices"
-        )
+    if c is not None:
+        configs.check_config(c, g.vertex_count)
 
 
 @dataclass(frozen=True)
@@ -216,8 +215,9 @@ def is_solvable(g: Graph, c: Config, t: int, n: int) -> SolveResult:
     failed: set[Config] = set()
     # Depth-first over steps in edge order with an explicit stack of
     # [configuration, potential, next edge index]; path holds the steps
-    # from c to the top frame.  A configuration whose subtree fails, or
-    # that the potential prunes, joins ``failed``.
+    # from c to the top frame.  A step the potential prunes is skipped
+    # before its child is built; a configuration whose subtree fails
+    # joins ``failed``.
     stack = [[c, _potential(rec, c), 0]]
     path: list[Step] = []
     m = len(edges)
@@ -227,7 +227,7 @@ def is_solvable(g: Graph, c: Config, t: int, n: int) -> SolveResult:
         while i < m:
             u, v, w, drop = edges[i]
             i += 1
-            if conf[u] < w:
+            if conf[u] < w or pot - drop < bound:
                 continue
             nxt = list(conf)
             nxt[u] -= w
@@ -235,14 +235,12 @@ def is_solvable(g: Graph, c: Config, t: int, n: int) -> SolveResult:
             nxt = tuple(nxt)
             if nxt in failed:
                 continue
-            if pot - drop >= bound:
-                path.append((u, v))
-                if nxt[t] >= n:
-                    return SolveResult(True, tuple(path), nxt)
-                frame[2] = i
-                stack.append([nxt, pot - drop, 0])
-                break
-            failed.add(nxt)
+            path.append((u, v))
+            if nxt[t] >= n:
+                return SolveResult(True, tuple(path), nxt)
+            frame[2] = i
+            stack.append([nxt, pot - drop, 0])
+            break
         else:
             stack.pop()
             if path:

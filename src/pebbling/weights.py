@@ -21,7 +21,7 @@ from functools import reduce
 from math import lcm
 from numbers import Rational
 
-from .configs import Config, text_records
+from .configs import Config, check_config, text_records
 from .errors import PebblingError
 from .graphs import Graph, bfs_distances
 from .solver import Step
@@ -96,6 +96,7 @@ def wfl_solve(g: Graph, w: WeightFunction, c: Config) -> tuple[Step, ...]:
     never decreases the weighted size, and the total pebble count drops
     every step.
     """
+    check_config(c, g.vertex_count)
     if not validate_weight_function(g, w):
         raise PebblingError("invalid weight function")
     if not w.dot(c) > w.total():
@@ -296,22 +297,21 @@ def weight_function_from_text(text: str, vertex_count: int) -> WeightFunction:
     target = None
     weights = [Fraction(0)] * vertex_count
     seen = set()
-    for keyword, fields in text_records(text, "weight", {"target": 1, "w": 2}):
+    for keyword, fields in text_records(
+        text, "weight", {"target": (int,), "w": (int, Fraction)}
+    ):
         if keyword == "target":
             if target is not None:
                 raise PebblingError("repeated 'target' line")
-            target = int(fields[0])
+            (target,) = fields
             continue
-        v = int(fields[0])
+        v, x = fields
         if not 0 <= v < vertex_count:
             raise PebblingError(f"vertex {v} out of range")
         if v in seen:
             raise PebblingError(f"repeated 'w {v}' line")
         seen.add(v)
-        try:
-            weights[v] = Fraction(fields[1])
-        except ZeroDivisionError:
-            raise PebblingError(f"zero denominator in weight {fields[1]!r}") from None
+        weights[v] = x
     if target is None:
         raise PebblingError("missing 'target' line")
     return WeightFunction(target, tuple(weights))

@@ -326,11 +326,14 @@ def test_malformed_input_gives_one_error_line(capsys, argv):
         ("--graph", "vertices 5\nvertices 2\nedge 0 1 2\nedge 1 0 2\n", ["pi", "--target", "0"]),
         ("--wf", "target 1\ntarget 0\nw 1 2\nw 2 1\nw 3 2\n", ["wf-bound", "--family", "cycle:4:2"]),
         ("--wf", "target 0\nw 1 1\nw 1 2\nw 2 1\nw 3 2\n", ["wf-bound", "--family", "cycle:4:2"]),
+        # a file that is not UTF-8
+        ("--graph", b"vertices 3\n\xff\n", ["pi", "--target", "0"]),
+        ("--config", b"pebbles 0 \xff\n", ["solve", *P3, "--target", "2"]),
     ],
 )
 def test_malformed_file_gives_one_error_line(capsys, tmp_path, option, text, argv):
     path = tmp_path / "input.txt"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     try:
         code = main([*argv, option, str(path)])
     except SystemExit as exc:  # argparse usage error

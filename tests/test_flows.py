@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 import time
@@ -28,7 +29,7 @@ from pebbling.graphs import (
     path_graph,
     petersen_graph,
 )
-from pebbling.solver import is_solvable, replay, solvable_quick
+from pebbling.solver import _pre_search, is_solvable, replay, solvable_quick
 from oracles import (
     random_config,
     random_connected_graph,
@@ -338,15 +339,32 @@ def test_solve_via_flow_matches_the_per_value_loop(g, counts):
                 assert f is not None and list(f.flow.items()) == list(expected.flow.items())
 
 
+@functools.cache
+def _searched_flows():
+    """The flows of the golden instances that the shared opening leaves to
+    the branch and bound and that it finds feasible."""
+    out = []
+    for g, c, t, n in _golden_flow_instances():
+        if _pre_search(g, c, t, n) is None:
+            f = solve_via_flow(g, c, t, n)
+            if f is not None:
+                out.append((g, f))
+    return out
+
+
 @st.composite
 def feasible_flows(draw):
     """A graph and a feasible flow.  Either ``solve_via_flow``'s flow on
     the divisor lattice of some n <= 120 with n pebbles on random divisors
     and the target n (always solvable), or on a random digraph with 2-6
-    vertices, weights 2-4, up to 12 pebbles per vertex and n in 1..3; or
-    the counted steps of a random legal sequence on such a digraph, where
-    a vertex often fires several out-edges."""
-    kind = draw(st.sampled_from(("lattice", "solved", "steps")))
+    vertices, weights 2-4, up to 12 pebbles per vertex (about half of the
+    vertices empty) and n in 1..3; or the counted steps of a random legal
+    sequence on such a digraph, where a vertex often fires several
+    out-edges; or one of the branch and bound's flows (``_searched_flows``),
+    which the other kinds almost never give."""
+    kind = draw(st.sampled_from(("lattice", "solved", "steps", "searched")))
+    if kind == "searched":
+        return draw(st.sampled_from(_searched_flows()))
     if kind == "lattice":
         n = draw(st.integers(1, 120))
         g = divisor_lattice(n)
@@ -358,7 +376,8 @@ def feasible_flows(draw):
         return g, f
     g = draw(random_digraphs())
     nv = g.vertex_count
-    c = tuple(draw(st.lists(st.integers(0, 12), min_size=nv, max_size=nv)))
+    counts = st.one_of(st.just(0), st.integers(0, 12))
+    c = tuple(draw(st.lists(counts, min_size=nv, max_size=nv)))
     if kind == "steps":
         rng = random.Random(draw(st.integers(0, 10**6)))
         steps, _ = random_legal_steps(rng, g, c, draw(st.integers(0, 20)))

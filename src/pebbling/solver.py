@@ -26,7 +26,8 @@ of them.  Both exact deciders, ``is_solvable`` here and
 The exhaustive walks (``configs.bounded_configs``) visit only what can
 change their answer: the pi scan and the 2PP check walk t's box
 sum(c(v) // cost(v)) < n, outside which independent delivery solves c, and
-the 2PP check and ``verify_tau`` cut the walk to a support-size window.
+the 2PP check and ``verify_tau`` cut the walk to a support-size window,
+and ``verify_tau`` also skips what its fast path certifies.
 """
 
 from __future__ import annotations
@@ -430,7 +431,14 @@ def _tau_subconfig_exists(
     g: Graph, c: Config, t: int, n: int, k: int, m: int, s: int, q: int
 ) -> bool:
     """Is there c* within c, n-fold t-solvable, with r_k(c - c*) >= m?
-    s and q are the size and support count of c."""
+    s and q are the size and support count of c.
+
+    An O(V) fast path first tries c* made of n*cost(v) pebbles on one
+    vertex (with or without the target's own); ``verify_tau`` does not
+    walk what its first test certifies.  Otherwise the decisions run over
+    the minimal residuals r = c - c* only: the empty one, then for each
+    support size j the residuals of exactly j occupied vertices and the
+    least size that keeps r_k(r) >= m."""
     cost = _target(g, t).cost
     # Fast path: n*cost(v) pebbles taken from one vertex, optionally with
     # the target's own pebbles counted first.  The residual's size drops by
@@ -448,11 +456,18 @@ def _tau_subconfig_exists(
                 emptied = (0 < amount == c[v]) + (0 < use_t == c[t])
                 if s - amount - use_t - (k - 1) * (q - emptied - 1) >= m:
                     return True
-    # Complete fallback: every subconfiguration, largest counts first.
-    for cstar in itertools.product(*(range(x, -1, -1) for x in c)):
-        residual = tuple(a - b for a, b in zip(c, cstar))
-        if configs.reduced_size(residual, k) >= m and not _unsolvable(g, cstar, t, n):
-            return True
+    # Complete fallback.  A pebble more in c* never hurts, so a residual
+    # that works dominates one of the same support j and the least size
+    # max(j, m + (k - 1)(j - 1)) that keeps r_k(r) = |r| - (k - 1)(j - 1)
+    # >= m, and that one works too.  The empty residual counts k - 1, as
+    # ``configs.reduced_size`` reads it.
+    if k - 1 >= m and not _unsolvable(g, c, t, n):
+        return True
+    room = tuple(x + 1 for x in c)  # 1 <= r(v) <= c(v) on r's support
+    for j in range(1, q + 1):
+        for r in bounded_configs(max(j, m + (k - 1) * (j - 1)), room, 0, j, j):
+            if not _unsolvable(g, tuple(a - b for a, b in zip(c, r)), t, n):
+                return True
     return False
 
 
@@ -462,20 +477,33 @@ def verify_tau(g: Graph, t: int, n: int, k: int, p: int, m_max: int) -> bool:
     n-fold t-solvable subconfiguration whose residual keeps k-reduced size
     at least m.  A True result certifies the bound up to m_max only.
 
-    Each configuration has one m = |c| + s#(c) - p - 1, so one walk per
-    size s in max(p + 1 - #V, 0) .. p + 1 + m_max, with the support window
-    s# in [p + 1 - s, p + 1 + m_max - s] (that is 0 <= m <= m_max), covers
-    every (m, c) and nothing else."""
+    Each configuration has one m = |c| + s#(c) - p - 1, so the sizes s in
+    max(p + 1 - #V, 0) .. p + 1 + m_max with the support window s# in
+    [p + 1 - s, p + 1 + m_max - s] (that is 0 <= m <= m_max) cover every
+    (m, c) and nothing else.  Each size is walked as c(t) and then the
+    other vertices, whose window is shifted by [c(t) > 0].  Where
+    c(t) >= n the walk also skips what the first test of
+    ``_tau_subconfig_exists`` certifies: its residual has reduced size
+    s - n - (k - 1)(s# - e - 1), e = [c(t) = n > 0], so the test holds
+    exactly when k * s# <= p + 1 - n + (k - 1)(1 + e)."""
     _check_instance(g, None, t, n)
     if m_max < 0 or k < 1:
         raise PebblingError("need m_max >= 0, k >= 1")
     nv = g.vertex_count
-    ones = (1,) * nv
+    ones = (1,) * (nv - 1)
     for s in range(max(p + 1 - nv, 0), p + 2 + m_max):
-        for c in bounded_configs(s, ones, s, p + 1 - s, p + 1 + m_max - s):
-            q = nv - c.count(0)
-            if not _tau_subconfig_exists(g, c, t, n, k, s + q - p - 1, s, q):
-                return False
+        q_lo, q_hi = p + 1 - s, p + 1 + m_max - s
+        for ct in range(s + 1):
+            lo = q_lo
+            if ct >= n:
+                lo = max(lo, (p + 1 - n + (k - 1) * (1 + (0 < n == ct))) // k + 1)
+            held = ct > 0
+            rest = s - ct
+            for others in bounded_configs(rest, ones, rest, max(lo - held, 0), q_hi - held):
+                c = others[:t] + (ct,) + others[t:]
+                q = nv - c.count(0)
+                if not _tau_subconfig_exists(g, c, t, n, k, s + q - p - 1, s, q):
+                    return False
     return True
 
 

@@ -52,23 +52,25 @@ def pebbling_construction(
     ``placements`` maps 1-based indices to their starting vertices; each
     step of weight k pops k index sets (FIFO) from its source and pushes
     ``combiner(u, v, sets)`` -- a non-empty subset of their union -- onto
-    its head.  Returns the front payload at the target.  Each payload is
-    checked once, as it is placed (with ``well_placed``, when given): the
-    start payloads are distinct singletons, a merged set lies inside what
-    its step popped, and no step touches any other payload, so the sets
-    stay non-empty and disjoint.
+    its head.  Returns the front payload at the target.  The target and
+    every starting vertex must be vertices of g.  Each payload is checked
+    once, as it is placed (with ``well_placed``, when given): the start
+    payloads are distinct singletons, a merged set lies inside what its
+    step popped, and no step touches any other payload, so the sets stay
+    non-empty and disjoint.
     """
-    queues: list[deque[IndexSet]] = [deque() for _ in range(g.vertex_count)]
-
-    def place(v: int, s: IndexSet) -> None:
-        if well_placed is not None and not well_placed(v, s):
-            raise PebblingError(
-                f"payload at vertex {v} is not well-placed: {sorted(s)}"
-            )
-        queues[v].append(s)
-
+    nv = g.vertex_count
+    if not 0 <= t < nv:
+        raise PebblingError(f"target {t} is not a vertex (0..{nv - 1})")
+    queues: list[deque[IndexSet]] = [deque() for _ in range(nv)]
     for i in sorted(placements):
-        place(placements[i], frozenset({i}))
+        v = placements[i]
+        if not 0 <= v < nv:
+            raise PebblingError(f"index {i} starts at {v}, not a vertex (0..{nv - 1})")
+        s = frozenset((i,))
+        if well_placed is not None and not well_placed(v, s):
+            raise _misplaced(v, s)
+        queues[v].append(s)
     for u, v in steps:
         w = g.weight(u, v)
         queue = queues[u]
@@ -82,10 +84,16 @@ def pebbling_construction(
             raise PebblingError(
                 "combiner must return a non-empty subset of the popped union"
             )
-        place(v, merged)
+        if well_placed is not None and not well_placed(v, merged):
+            raise _misplaced(v, merged)
+        queues[v].append(merged)
     if not queues[t]:
         raise PebblingError("steps do not deliver a pebble to the target")
     return queues[t][0]
+
+
+def _misplaced(v: int, s: IndexSet) -> PebblingError:
+    return PebblingError(f"payload at vertex {v} is not well-placed: {sorted(s)}")
 
 
 # One frozen lattice per n, so every replay reuses its per-target record.
@@ -98,9 +106,10 @@ def _lattice_solution(n: int, starts: list[int]):
     it from one pebble per index."""
     g = _lattice(n)
     index = {d: i for i, d in enumerate(g.labels)}
-    placements = {i: index[d] for i, d in enumerate(starts, 1)}
+    verts = [index[d] for d in starts]
+    placements = dict(enumerate(verts, 1))
     c = [0] * g.vertex_count
-    for v in placements.values():
+    for v in verts:
         c[v] += 1
     t = index[n]
     flow = solve_via_flow(g, tuple(c), t, 1)
@@ -132,15 +141,17 @@ def divisor_zero_sum(n: int, divisors: list[int]) -> IndexSet:
         raise PebblingError("need n >= 1")
     _require_divisors(n, divisors)
     g, placements, t, steps = _lattice_solution(n, divisors)
+    at = (0, *divisors).__getitem__  # 1-based
+    labels = g.labels
 
     def combiner(u, v, sets):
         return frozenset().union(*sets)
 
     def well_placed(v, s):
-        return sum(divisors[i - 1] for i in s) == g.labels[v]
+        return sum(map(at, s)) == labels[v]
 
     out = pebbling_construction(g, t, placements, combiner, steps, well_placed)
-    if sum(divisors[i - 1] for i in out) != n:
+    if sum(map(at, out)) != n:
         raise AssertionError("constructed subset does not sum to n")
     return out
 
@@ -162,23 +173,25 @@ def gcd_zero_sum(n: int, seq: list[int]) -> IndexSet:
         raise PebblingError("entries must be positive")
     gcds = [gcd(n, a) for a in seq]
     g, placements, t, steps = _lattice_solution(n, gcds)
+    at = (0, *seq).__getitem__  # 1-based
+    gcd_at = (0, *gcds).__getitem__
+    labels = g.labels
+    totals: dict[IndexSet, int] = {}  # each placed payload's sum
 
     def combiner(u, v, sets):
-        d = g.labels[u]
-        p = g.labels[v] // d
-        ratios = [sum(seq[i - 1] for i in s) // d for s in sets]
-        chosen = zero_sum_mod(ratios, p)
+        d = labels[u]
+        chosen = zero_sum_mod([totals[s] // d for s in sets], labels[v] // d)
         return frozenset().union(*(sets[i - 1] for i in chosen))
 
     def well_placed(v, s):
-        d = g.labels[v]
-        total = sum(seq[i - 1] for i in s)
-        return total % d == 0 and sum(gcds[i - 1] for i in s) <= d
+        d = labels[v]
+        total = totals[s] = sum(map(at, s))
+        return total % d == 0 and sum(map(gcd_at, s)) <= d
 
     out = pebbling_construction(g, t, placements, combiner, steps, well_placed)
-    if sum(seq[i - 1] for i in out) % n != 0:
+    if sum(map(at, out)) % n != 0:
         raise AssertionError("constructed subset sum is not divisible by n")
-    if sum(gcds[i - 1] for i in out) > n:
+    if sum(map(gcd_at, out)) > n:
         raise AssertionError("constructed subset gcd-sum exceeds n")
     return out
 

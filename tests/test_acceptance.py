@@ -156,7 +156,7 @@ def test_11_tree_formula_vs_independent_dp():
 
 
 def test_12_tau_certificate():
-    with budget(300):
+    with budget(10):
         g = hypercube_graph([3, 4])
         assert verify_tau(g, 3, 2, 3, 24, 20)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pebbling import solver
 from pebbling.configs import enumerate_configs
 from pebbling.errors import PebblingError
 from pebbling.flows import solve_via_flow
@@ -165,6 +166,9 @@ def test_verify_tau_small():
 
 
 def test_verify_tau_matches_brute_force():
+    # n runs over 0..3, so the walk meets c(t) = n, c(t) > n and, at
+    # n = 0, only c(t) >= n: every place where it skips what the fast
+    # path certifies.
     rng = random.Random(2024)
     families = (
         "path:2:2",
@@ -176,39 +180,78 @@ def test_verify_tau_matches_brute_force():
         "arrow:2",
     )
     answers = []
+    ns = set()
     for _ in range(300):
         family = rng.choice(families)
         g = make_family(family)
         t = rng.randrange(g.vertex_count)
-        n, k = rng.randint(1, 2), rng.randint(1, 3)
+        n, k = rng.randint(0, 3), rng.randint(1, 3)
         args = (t, n, k, rng.randint(-1, 8), rng.randint(0, 4))  # t n k p m_max
         answer = verify_tau(g, *args)
         assert answer == tau_oracle(g, *args), (family, args)
         answers.append(answer)
+        ns.add(n)
     assert True in answers and False in answers
+    assert ns == {0, 1, 2, 3}
 
 
-def test_tau_subconfig_matches_every_subconfiguration():
-    # The fast path's O(1) residual sizes against trying every c* <= c.
+def test_tau_subconfig_matches_every_subconfiguration(monkeypatch):
+    # The fast path's O(1) residual sizes and the fallback's minimal
+    # residuals against trying every c* <= c.  The fallback is the only
+    # caller of _unsolvable there, so counting its calls tells which draws
+    # get past the fast path.
+    decisions = []
+    unsolvable = solver._unsolvable
+
+    def counted(*args):
+        decisions.append(args)
+        return unsolvable(*args)
+
+    monkeypatch.setattr(solver, "_unsolvable", counted)
     rng = random.Random(5)
-    families = ("path:2:2", "path:3:2", "cycle:4:2", "star:3:2", "arrow:2", "hypercube:2:3")
-    answers = []
-    for _ in range(400):
+    families = (
+        "path:2:2",
+        "path:3:2",
+        "cycle:4:2",
+        "star:3:2",
+        "arrow:2",
+        "hypercube:2:3",
+        "hypercube:3:4",
+        "petersen",
+    )
+    draws = []
+    for _ in range(2000):
         family = rng.choice(families)
+        nv = make_family(family).vertex_count
+        c = random_config(rng, nv, rng.randint(0, 9))
+        t = rng.randrange(nv)
+        draws.append((family, c, t, rng.randint(0, 3), rng.randint(1, 3), rng.randint(-1, 12)))
+    # Cases where only a residual over all of c's support works (rare in
+    # random draws): one pebble off each stack, at k = 1.
+    draws += [
+        ("cycle:4:2", (5, 0, 3, 0), 1, 3, 1, 2),
+        ("petersen", (3, 3, 0, 0, 3, 0, 0, 0, 3, 2), 5, 2, 1, 10),
+    ]
+    answers = []
+    fallback_answers = []
+    for family, c, t, n, k, m in draws:
         g = make_family(family)
-        c = random_config(rng, g.vertex_count, rng.randint(0, 9))
-        t = rng.randrange(g.vertex_count)
-        n, k, m = rng.randint(0, 2), rng.randint(1, 3), rng.randint(-1, 8)
         expected = any(
             sum(c) - sum(cs) - (k - 1) * (sum(a > b for a, b in zip(c, cs)) - 1) >= m
             and is_solvable(g, cs, t, n).solvable
             for cs in itertools.product(*(range(x + 1) for x in c))
         )
         q = sum(1 for x in c if x)
+        decisions.clear()
         answer = _tau_subconfig_exists(g, c, t, n, k, m, sum(c), q)
         assert answer == expected, (family, c, t, n, k, m)
         answers.append(answer)
+        if decisions:
+            fallback_answers.append(answer)
     assert True in answers and False in answers
+    # At least an eighth of the draws reach the fallback, with both answers.
+    assert len(fallback_answers) >= 250, len(fallback_answers)
+    assert True in fallback_answers and False in fallback_answers
 
 
 def test_optimal_pebbling():

@@ -80,6 +80,23 @@ def test_pebbling_construction_checks_steps_and_combiner():
         )
 
 
+@pytest.mark.parametrize(
+    "t, placements, steps",
+    [
+        (-1, {1: 0, 2: 0}, [(0, 1)]),  # would read vertex 1's payload
+        (7, {1: 0, 2: 0}, [(0, 1)]),
+        (1, {1: 0, 2: 5}, []),
+        (1, {1: 0, 2: -1}, []),  # would land on vertex 1
+    ],
+)
+def test_pebbling_construction_checks_its_vertices(t, placements, steps):
+    def union(u, v, sets):
+        return frozenset().union(*sets)
+
+    with pytest.raises(PebblingError, match="not a vertex"):
+        pebbling_construction(path_graph(2), t, placements, union, steps)
+
+
 def test_replay_rejects_badly_placed_merge_at_its_step():
     # Four singletons on vertex 0 of the path 0 -> 1 -> 2; the second
     # combine returns a set that the placement rule rejects at vertex 1.

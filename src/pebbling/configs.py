@@ -187,8 +187,7 @@ def enumerate_configs_with_support(
 def config_from_pairs(vertex_count: int, pairs) -> Config:
     counts = [0] * vertex_count
     for v, x in pairs:
-        if not 0 <= v < vertex_count:
-            raise PebblingError(f"vertex {v} out of range")
+        check_vertices(vertex_count, (v,), "placement")
         if x < 0:
             raise PebblingError("pebble counts must be non-negative")
         counts[v] += x
@@ -202,6 +201,14 @@ def check_config(c: Config, vertex_count: int) -> None:
     for x in c:  # a plain loop: this runs once per decision
         if type(x) is not int or x < 0:  # bool is an int
             raise PebblingError("pebble counts must be non-negative integers")
+
+
+def check_vertices(vertex_count: int, vertices, what: str) -> None:
+    """Reject a sequence of vertex ids with one outside 0..vertex_count-1,
+    named as ``what``: one ``min``/``max`` pass, a search only on failure."""
+    if vertices and (min(vertices) < 0 or max(vertices) >= vertex_count):
+        bad = next(v for v in vertices if not 0 <= v < vertex_count)
+        raise PebblingError(f"{what} {bad} is not a vertex (0..{vertex_count - 1})")
 
 
 def text_records(

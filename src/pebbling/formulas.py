@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .configs import check_vertices
 from .errors import PebblingError
 from .graphs import Graph, diameter
 from .solver import pebbling_number_graph
@@ -26,8 +27,7 @@ def _tree_children(g: Graph, r: int) -> tuple[dict[int, list[int]], list[int]]:
     the children of each vertex and the BFS order from r; errors out when
     r is not a vertex or the graph is not a tree."""
     n = g.vertex_count
-    if not 0 <= r < n:
-        raise PebblingError(f"root {r} is not a vertex (0..{n - 1})")
+    check_vertices(n, (r,), "root")
     directed = {(u, v) for u, v, _ in g.edges}
     if any((v, u) not in directed for u, v in directed):
         raise PebblingError("tree skeleton must be undirected")

@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .configs import check_config, text_records
+from .configs import check_config, check_vertices, text_records
 from .errors import PebblingError
 
 Edge = tuple[int, int, int]  # (from, to, weight)
@@ -26,12 +26,13 @@ class Graph:
     labels: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.vertex_count < 1:
-            raise PebblingError("graph needs at least one vertex")
+        n = self.vertex_count
+        if type(n) is not int or n < 1:  # bool is an int
+            raise PebblingError(f"graph needs a positive int vertex count, got {n!r}")
         seen = set()
         for u, v, w in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise PebblingError(f"edge ({u},{v}) endpoint out of range")
+            if {type(u), type(v), type(w)} != {int}:
+                raise PebblingError(f"edge ({u!r},{v!r},{w!r}) has a field that is not an int")
             if u == v:
                 raise PebblingError(f"self-loop at vertex {u}")
             if w < 2:
@@ -39,6 +40,7 @@ class Graph:
             if (u, v) in seen:
                 raise PebblingError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
+        check_vertices(n, [x for u, v, _ in self.edges for x in (u, v)], "edge endpoint")
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
     @cached_property
@@ -78,6 +80,7 @@ class Graph:
         cannot reach t at all."""
         cache = self.__dict__.setdefault("_costs", {})
         if t not in cache:
+            check_vertices(self.vertex_count, (t,), "target")
             cost: list[int | None] = [None] * self.vertex_count
             heap = [(1, t)]
             while heap:
@@ -311,9 +314,7 @@ class Homomorphism:
     def __post_init__(self):
         if len(self.mapping) != self.source.vertex_count:
             raise PebblingError("mapping must cover every source vertex")
-        for img in self.mapping:
-            if not 0 <= img < self.target.vertex_count:
-                raise PebblingError(f"mapped vertex {img} out of range")
+        check_vertices(self.target.vertex_count, self.mapping, "image")
 
     def __call__(self, v: int) -> int:
         return self.mapping[v]
@@ -393,6 +394,7 @@ def diameter(g: Graph) -> int | None:
 
 def bfs_distances(g: Graph, t: int) -> tuple[int | None, ...]:
     """Unweighted distance from each vertex to t along directed edges."""
+    check_vertices(g.vertex_count, (t,), "target")
     dist: list[int | None] = [None] * g.vertex_count
     dist[t] = 0
     queue = [t]

@@ -76,8 +76,7 @@ def replay(g: Graph, c: Config, steps) -> Config:
 def _check_instance(g: Graph, c: Config | None, t: int, n: int) -> None:
     """Reject a target that is not a vertex, a negative n, or a
     configuration (when given) that ``configs.check_config`` rejects."""
-    if not 0 <= t < g.vertex_count:
-        raise PebblingError(f"target {t} is not a vertex (0..{g.vertex_count - 1})")
+    configs.check_vertices(g.vertex_count, (t,), "target")
     if n < 0:
         raise PebblingError(f"need n >= 0, got {n}")
     if c is not None:
@@ -435,18 +434,16 @@ def _tau_subconfig_exists(
 
     An O(V) fast path first tries c* made of n*cost(v) pebbles on one
     vertex (with or without the target's own); ``verify_tau`` does not
-    walk what its first test certifies.  Otherwise the decisions run over
-    the minimal residuals r = c - c* only: the empty one, then for each
-    support size j the residuals of exactly j occupied vertices and the
-    least size that keeps r_k(r) >= m."""
+    walk what it certifies with c* = n pebbles on t alone.  Otherwise the
+    decisions run over the minimal residuals r = c - c* only: the empty
+    one, then for each support size j the residuals of exactly j occupied
+    vertices and the least size that keeps r_k(r) >= m."""
     cost = _target(g, t).cost
     # Fast path: n*cost(v) pebbles taken from one vertex, optionally with
     # the target's own pebbles counted first.  The residual's size drops by
     # the pebbles taken and its support by the vertices emptied, so its
     # reduced size needs no tuple.
     need_t = min(c[t], n)
-    if need_t == n and s - n - (k - 1) * (q - (0 < n == c[t]) - 1) >= m:
-        return True
     for v in range(g.vertex_count):
         if v == t or cost[v] is None:
             continue
@@ -482,10 +479,10 @@ def verify_tau(g: Graph, t: int, n: int, k: int, p: int, m_max: int) -> bool:
     [p + 1 - s, p + 1 + m_max - s] (that is 0 <= m <= m_max) cover every
     (m, c) and nothing else.  Each size is walked as c(t) and then the
     other vertices, whose window is shifted by [c(t) > 0].  Where
-    c(t) >= n the walk also skips what the first test of
-    ``_tau_subconfig_exists`` certifies: its residual has reduced size
-    s - n - (k - 1)(s# - e - 1), e = [c(t) = n > 0], so the test holds
-    exactly when k * s# <= p + 1 - n + (k - 1)(1 + e)."""
+    c(t) >= n the walk also skips what ``_tau_subconfig_exists``
+    certifies with c* = n pebbles on t alone: that residual has reduced
+    size s - n - (k - 1)(s# - e - 1), e = [c(t) = n > 0], so the test
+    holds exactly when k * s# <= p + 1 - n + (k - 1)(1 + e)."""
     _check_instance(g, None, t, n)
     if m_max < 0 or k < 1:
         raise PebblingError("need m_max >= 0, k >= 1")

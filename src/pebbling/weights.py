@@ -21,7 +21,7 @@ from functools import reduce
 from math import lcm
 from numbers import Rational
 
-from .configs import Config, check_config, text_records
+from .configs import Config, check_config, check_vertices, text_records
 from .errors import PebblingError
 from .graphs import Graph, bfs_distances
 from .solver import Step
@@ -43,8 +43,7 @@ class WeightFunction:
         _require_exact(self.weights)
         if any(w < 0 for w in self.weights):
             raise PebblingError("weights must be non-negative")
-        if not 0 <= self.target < len(self.weights):
-            raise PebblingError("target out of range")
+        check_vertices(len(self.weights), (self.target,), "target")
 
     def support(self) -> tuple[int, ...]:
         return tuple(v for v, w in enumerate(self.weights) if w > 0)
@@ -159,8 +158,7 @@ def cycle_weight_functions(m: int, t: int) -> tuple[WeightFunction, WeightFuncti
     odd m (one vertex past the antipode); the mirror runs the other way."""
     if m < 3:
         raise PebblingError("cycle needs at least 3 vertices")
-    if not 0 <= t < m:
-        raise PebblingError("target out of range")
+    check_vertices(m, (t,), "target")
     h = m // 2 if m % 2 == 0 else (m + 1) // 2
     w1 = [Fraction(0)] * m
     w2 = [Fraction(0)] * m
@@ -306,8 +304,7 @@ def weight_function_from_text(text: str, vertex_count: int) -> WeightFunction:
             (target,) = fields
             continue
         v, x = fields
-        if not 0 <= v < vertex_count:
-            raise PebblingError(f"vertex {v} out of range")
+        check_vertices(vertex_count, (v,), "weight index")
         if v in seen:
             raise PebblingError(f"repeated 'w {v}' line")
         seen.add(v)

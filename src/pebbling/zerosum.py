@@ -15,6 +15,7 @@ from collections import deque
 from functools import lru_cache
 from math import gcd
 
+from .configs import check_vertices
 from .errors import PebblingError
 from .flows import realize, solve_via_flow
 from .graphs import Graph, divisor_lattice
@@ -42,31 +43,28 @@ def zero_sum_mod(seq: list[int], n: int) -> IndexSet:
 def pebbling_construction(
     g: Graph,
     t: int,
-    placements: dict[int, int],
+    starts,
     combiner,
     steps,
     well_placed=None,
 ) -> IndexSet:
     """Replay a pebbling solution with payload-carrying pebbles.
 
-    ``placements`` maps 1-based indices to their starting vertices; each
-    step of weight k pops k index sets (FIFO) from its source and pushes
+    Index i (1-based) starts at vertex ``starts[i - 1]``; each step of
+    weight k pops k index sets (FIFO) from its source and pushes
     ``combiner(u, v, sets)`` -- a non-empty subset of their union -- onto
     its head.  Returns the front payload at the target.  The target and
-    every starting vertex must be vertices of g.  Each payload is checked
+    every start must be vertices of g.  Each payload is checked
     once, as it is placed (with ``well_placed``, when given): the start
     payloads are distinct singletons, a merged set lies inside what its
     step popped, and no step touches any other payload, so the sets stay
     non-empty and disjoint.
     """
     nv = g.vertex_count
-    if not 0 <= t < nv:
-        raise PebblingError(f"target {t} is not a vertex (0..{nv - 1})")
+    check_vertices(nv, (t,), "target")
+    check_vertices(nv, starts, "start")
     queues: list[deque[IndexSet]] = [deque() for _ in range(nv)]
-    for i in sorted(placements):
-        v = placements[i]
-        if not 0 <= v < nv:
-            raise PebblingError(f"index {i} starts at {v}, not a vertex (0..{nv - 1})")
+    for i, v in enumerate(starts, 1):
         s = frozenset((i,))
         if well_placed is not None and not well_placed(v, s):
             raise _misplaced(v, s)
@@ -101,13 +99,12 @@ _lattice = lru_cache(maxsize=16)(divisor_lattice)
 
 
 def _lattice_solution(n: int, starts: list[int]):
-    """Divisor lattice of n, placements of index i at the vertex of the
-    divisor ``starts[i - 1]``, target n, and steps delivering a pebble to
-    it from one pebble per index."""
+    """Divisor lattice of n, the vertex of each divisor in ``starts``,
+    target n, and steps delivering a pebble to it from one pebble per
+    start."""
     g = _lattice(n)
     index = {d: i for i, d in enumerate(g.labels)}
     verts = [index[d] for d in starts]
-    placements = dict(enumerate(verts, 1))
     c = [0] * g.vertex_count
     for v in verts:
         c[v] += 1
@@ -119,7 +116,7 @@ def _lattice_solution(n: int, starts: list[int]):
             "must be solvable"
         )
     steps, _ = realize(g, flow)
-    return g, placements, t, steps
+    return g, verts, t, steps
 
 
 def _require_divisors(n: int, seq: list[int]) -> None:
@@ -140,7 +137,7 @@ def divisor_zero_sum(n: int, divisors: list[int]) -> IndexSet:
     if n < 1:
         raise PebblingError("need n >= 1")
     _require_divisors(n, divisors)
-    g, placements, t, steps = _lattice_solution(n, divisors)
+    g, verts, t, steps = _lattice_solution(n, divisors)
     at = (0, *divisors).__getitem__  # 1-based
     labels = g.labels
 
@@ -150,7 +147,7 @@ def divisor_zero_sum(n: int, divisors: list[int]) -> IndexSet:
     def well_placed(v, s):
         return sum(map(at, s)) == labels[v]
 
-    out = pebbling_construction(g, t, placements, combiner, steps, well_placed)
+    out = pebbling_construction(g, t, verts, combiner, steps, well_placed)
     if sum(map(at, out)) != n:
         raise AssertionError("constructed subset does not sum to n")
     return out
@@ -172,7 +169,7 @@ def gcd_zero_sum(n: int, seq: list[int]) -> IndexSet:
     if any(a < 1 for a in seq):
         raise PebblingError("entries must be positive")
     gcds = [gcd(n, a) for a in seq]
-    g, placements, t, steps = _lattice_solution(n, gcds)
+    g, verts, t, steps = _lattice_solution(n, gcds)
     at = (0, *seq).__getitem__  # 1-based
     gcd_at = (0, *gcds).__getitem__
     labels = g.labels
@@ -188,7 +185,7 @@ def gcd_zero_sum(n: int, seq: list[int]) -> IndexSet:
         total = totals[s] = sum(map(at, s))
         return total % d == 0 and sum(map(gcd_at, s)) <= d
 
-    out = pebbling_construction(g, t, placements, combiner, steps, well_placed)
+    out = pebbling_construction(g, t, verts, combiner, steps, well_placed)
     if sum(map(at, out)) % n != 0:
         raise AssertionError("constructed subset sum is not divisible by n")
     if sum(map(gcd_at, out)) > n:

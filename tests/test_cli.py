@@ -356,3 +356,51 @@ def test_tree_pi_on_a_long_path(capsys):
     # 1199 levels deep: the partition is built without recursion.
     code, out, _ = run(capsys, "tree-pi", "--family", "path:1200:2", "--root", "0")
     assert code == 0 and int(out) == 2**1199
+
+
+# Command shapes no other test runs, with their whole stdout and exit code.
+GOLDEN = [
+    (["pi-all", "--family", "cycle:5:2"], 0, "5\n"),
+    (
+        ["flow", *P3, "--place", "0:4", "--target", "2"],
+        0,
+        "feasible\npebbles 0 4\nflow 0 1 2\nflow 1 2 1\nexcess 0 0\nexcess 1 0\nexcess 2 1\n",
+    ),
+    (["flow", *P3, "--place", "0:3", "--target", "2"], 0, "infeasible\n"),
+    (
+        ["tau", "--family", "hypercube:3:4", "--target", "3",
+         "--n", "2", "--k", "3", "--p", "24", "--m-max", "2"],
+        0,
+        "certified\n",
+    ),
+    (["optimal-pi", "--family", "path:4:2"], 0, "3\nwitness: 0 1 2 0\n"),
+    (["wf-validate", "--family", "cycle:6:2", "--cycle-pair", "0"], 0, "True\n"),
+    (["wf-bound", "--family", "cycle:6:2"], 1, ""),  # no weight functions
+    (
+        ["--json", "solve", *P3, "--place", "0:4", "--target", "2"],
+        0,
+        '{"result": "solvable", "steps": [[0, 1], [0, 1], [1, 2]], "witness": [0, 0, 1]}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_output(capsys, argv, code, stdout):
+    got_code, got_out, err = run(capsys, *argv)
+    assert (got_code, got_out) == (code, stdout)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_golden_output_agrees_with_the_library():
+    from oracles import tau_oracle
+    from pebbling.flows import solve_via_flow
+    from pebbling.formulas import pi_cycle
+    from pebbling.graphs import make_family, path_graph
+
+    assert pi_cycle(5) == 5
+    assert tau_oracle(make_family("hypercube:3:4"), 3, 2, 3, 24, 2)
+    witness = (0, 1, 2, 0)
+    assert all(solve_via_flow(path_graph(4), witness, t, 1) for t in range(4))

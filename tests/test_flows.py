@@ -92,6 +92,15 @@ def test_realize_skips_cyclic_remainder():
     assert all(final[v] >= f.excess(v) for v in range(3))
 
 
+def test_realize_on_an_equal_graph_object():
+    # A graph equal to the flow's own but built apart: the flow is checked
+    # against it, and the steps are the same.
+    f = PebbleFlow(path_graph(3), (4, 0, 0), {(0, 1): 2, (1, 2): 1})
+    other = path_graph(3)
+    assert other == f.graph and other is not f.graph
+    assert realize(other, f) == realize(f.graph, f)
+
+
 def test_realize_rejects_infeasible():
     g = path_graph(2)
     with pytest.raises(PebblingError):

@@ -143,6 +143,19 @@ def test_unsolvable_witness():
     assert find_unsolvable(Graph(1, ()), 0, 2, 3) is None
 
 
+def test_singleton_witness_up_to_vertex_count_plus_n_minus_two():
+    # Up to p = #V + n - 2 the answer is min(n - 1, p) pebbles on t and
+    # one on each of the lowest other vertices, found before any scan.
+    for g in (path_graph(4), cycle_graph(5), star_graph(3)):
+        for t, n in ((0, 1), (g.vertex_count - 1, 2), (1, 3)):
+            for p in range(g.vertex_count + n - 1):
+                w = find_unsolvable(g, t, n, p)
+                others = [x for v, x in enumerate(w) if v != t]
+                assert sum(w) == p and w[t] == min(n - 1, p)
+                assert others == sorted(others, reverse=True) and set(others) <= {0, 1}
+                assert solve_via_flow(g, w, t, n) is None
+
+
 def test_has_2pp_trivial_and_small():
     assert has_2pp(Graph(1, ()), 1)[0]
     assert has_2pp(complete_graph(3), 3)[0]
@@ -163,6 +176,23 @@ def test_verify_tau_small():
     g = path_graph(2)
     assert verify_tau(g, 1, 1, 2, 3, 8)
     assert not verify_tau(g, 1, 1, 2, 2, 8)
+
+
+def test_verify_tau_rejects_bad_bounds():
+    for m_max, k in ((-1, 2), (1, 0)):
+        with pytest.raises(PebblingError, match="need m_max >= 0, k >= 1"):
+            verify_tau(path_graph(2), 1, 1, k, 3, m_max)
+
+
+def test_verify_tau_on_one_vertex_matches_brute_force():
+    # With no other vertex, each size's walk is the one empty tuple.
+    g = Graph(1, ())
+    answers = set()
+    for n, k, p, m_max in itertools.product(range(4), range(1, 4), range(-1, 6), range(4)):
+        answer = verify_tau(g, 0, n, k, p, m_max)
+        assert answer == tau_oracle(g, 0, n, k, p, m_max), (n, k, p, m_max)
+        answers.add(answer)
+    assert answers == {True, False}
 
 
 def test_verify_tau_matches_brute_force():

@@ -41,7 +41,7 @@ def test_pebbling_construction_rejects_empty_merge():
     g = path_graph(2)
     with pytest.raises(PebblingError, match="non-empty subset"):
         pebbling_construction(
-            g, 1, {1: 0, 2: 0}, lambda u, v, sets: frozenset(), [(0, 1)]
+            g, 1, [0, 0], lambda u, v, sets: frozenset(), [(0, 1)]
         )
 
 
@@ -57,13 +57,13 @@ def test_pebbling_construction_rejects_badly_placed_start():
         PebblingError, match="vertex 2 is not well-placed: \\[2\\]"
     ):
         pebbling_construction(
-            g, 2, {1: 0, 2: 2, 3: 1}, lambda u, v, sets: sets[0], [], well_placed
+            g, 2, [0, 2, 1], lambda u, v, sets: sets[0], [], well_placed
         )
 
 
 def test_pebbling_construction_checks_steps_and_combiner():
     g = path_graph(2)
-    placements = {1: 0, 2: 0}
+    placements = [0, 0]
 
     def union(u, v, sets):
         return frozenset().union(*sets)
@@ -71,7 +71,7 @@ def test_pebbling_construction_checks_steps_and_combiner():
     out = pebbling_construction(g, 1, placements, union, [(0, 1)])
     assert out == frozenset({1, 2})
     with pytest.raises(PebblingError, match="needs 2 pebbles"):
-        pebbling_construction(g, 1, {1: 0}, union, [(0, 1)])
+        pebbling_construction(g, 1, [0], union, [(0, 1)])
     with pytest.raises(PebblingError, match="deliver"):
         pebbling_construction(g, 1, placements, union, [])
     with pytest.raises(PebblingError, match="combiner"):
@@ -83,10 +83,10 @@ def test_pebbling_construction_checks_steps_and_combiner():
 @pytest.mark.parametrize(
     "t, placements, steps",
     [
-        (-1, {1: 0, 2: 0}, [(0, 1)]),  # would read vertex 1's payload
-        (7, {1: 0, 2: 0}, [(0, 1)]),
-        (1, {1: 0, 2: 5}, []),
-        (1, {1: 0, 2: -1}, []),  # would land on vertex 1
+        (-1, [0, 0], [(0, 1)]),  # would read vertex 1's payload
+        (7, [0, 0], [(0, 1)]),
+        (1, [0, 5], []),
+        (1, [0, -1], []),  # would land on vertex 1
     ],
 )
 def test_pebbling_construction_checks_its_vertices(t, placements, steps):
@@ -101,7 +101,7 @@ def test_replay_rejects_badly_placed_merge_at_its_step():
     # Four singletons on vertex 0 of the path 0 -> 1 -> 2; the second
     # combine returns a set that the placement rule rejects at vertex 1.
     g = path_graph(3)
-    placements = {i: 0 for i in range(1, 5)}
+    placements = [0] * 4
     calls = []
 
     def combiner(u, v, sets):
@@ -132,6 +132,14 @@ def test_divisor_zero_sum_validates_input():
         divisor_zero_sum(4, [1, 2, 3, 4])  # 3 does not divide 4
     with pytest.raises(PebblingError):
         divisor_zero_sum(4, [1, 2])  # wrong length
+
+
+def test_zero_sum_rejects_non_positive_input():
+    with pytest.raises(PebblingError, match="need n >= 1"):
+        divisor_zero_sum(0, [])
+    for seq in ([0, 1], [1, -2]):
+        with pytest.raises(PebblingError, match="entries must be positive"):
+            gcd_zero_sum(2, seq)
 
 
 def test_gcd_zero_sum_random():

@@ -46,16 +46,14 @@ def reduced_size(c: Config, k: int) -> int:
     Applied literally: the empty configuration gets k - 1, which is not an
     extractable pebble count, so callers must special-case s# = 0.
     """
-    if k < 1:
-        raise PebblingError("k must be >= 1")
+    check_int(k, 1, "k")
     return size(c) - (k - 1) * (support_count(c) - 1)
 
 
 def extract_blocks(c: Config, k: int, n: int) -> tuple[dict[int, int], Config]:
     """Extract n blocks of k pebbles, greedily from the lowest-id vertex
     holding at least k.  Requires the reduced-size bound r_k(c) >= n*k."""
-    if k < 1 or n < 0:
-        raise PebblingError("need k >= 1 and n >= 0")
+    check_int(n, 0, "n")
     if reduced_size(c, k) < n * k:
         raise PebblingError(
             f"insufficient reduced size: r_{k}(c)={reduced_size(c, k)} < {n * k}"
@@ -72,6 +70,7 @@ def extract_blocks(c: Config, k: int, n: int) -> tuple[dict[int, int], Config]:
 def extract_single_block(c: Config, k: int, n: int) -> tuple[int, Config]:
     """Remove one block of n <= k pebbles from a single vertex; the residual
     keeps reduced size at least r_k(c) - n."""
+    check_int(n, 0, "n")
     if n > k:
         raise PebblingError("block size n must not exceed k")
     if reduced_size(c, k) < n:
@@ -87,8 +86,8 @@ def extract_single_block(c: Config, k: int, n: int) -> tuple[int, Config]:
 def enumerate_configs(vertex_count: int, total: int) -> Iterator[Config]:
     """All configurations of the exact given size, lexicographically
     ascending; yields C(total + n - 1, n - 1) items."""
-    if vertex_count < 1 or total < 0:
-        raise PebblingError("need vertex_count >= 1 and size >= 0")
+    check_int(vertex_count, 1, "vertex count")
+    check_int(total, 0, "size")
     yield from bounded_configs(total, (1,) * vertex_count, total)
 
 
@@ -181,15 +180,19 @@ def enumerate_configs_with_support(
     """Configurations of the exact size whose support has exactly the given
     number of vertices, lexicographically ascending; none for a negative
     size."""
+    check_int(vertex_count, 1, "vertex count")
+    check_int(support_size, 0, "support size")
+    if type(total) is not int or total >= 0:  # a negative size has no configurations
+        check_int(total, 0, "size")
     yield from bounded_configs(total, (1,) * vertex_count, total, support_size, support_size)
 
 
 def config_from_pairs(vertex_count: int, pairs) -> Config:
+    check_int(vertex_count, 1, "vertex count")
     counts = [0] * vertex_count
     for v, x in pairs:
         check_vertices(vertex_count, (v,), "placement")
-        if x < 0:
-            raise PebblingError("pebble counts must be non-negative")
+        check_int(x, 0, "pebble count")
         counts[v] += x
     return tuple(counts)
 
@@ -204,11 +207,20 @@ def check_config(c: Config, vertex_count: int) -> None:
 
 
 def check_vertices(vertex_count: int, vertices, what: str) -> None:
-    """Reject a sequence of vertex ids with one outside 0..vertex_count-1,
-    named as ``what``: one ``min``/``max`` pass, a search only on failure."""
-    if vertices and (min(vertices) < 0 or max(vertices) >= vertex_count):
-        bad = next(v for v in vertices if not 0 <= v < vertex_count)
-        raise PebblingError(f"{what} {bad} is not a vertex (0..{vertex_count - 1})")
+    """Reject a sequence of vertex ids holding one that is not an int (a
+    bool included) or lies outside 0..vertex_count-1, named as ``what``:
+    one type pass and one ``min``/``max`` pass, a search only on failure."""
+    if vertices and (
+        not set(map(type, vertices)) <= {int} or min(vertices) < 0 or max(vertices) >= vertex_count
+    ):
+        bad = next(v for v in vertices if type(v) is not int or not 0 <= v < vertex_count)
+        raise PebblingError(f"{what} {bad!r} is not a vertex (0..{vertex_count - 1})")
+
+
+def check_int(value, minimum: int, what: str) -> None:
+    """Reject anything but an int (not a bool) >= minimum, named as ``what``."""
+    if type(value) is not int or value < minimum:
+        raise PebblingError(f"{what} must be an int >= {minimum}, got {value!r}")
 
 
 def text_records(
@@ -245,6 +257,7 @@ def config_to_text(c: Config) -> str:
 
 
 def config_from_json(text: str, vertex_count: int) -> Config:
+    check_int(vertex_count, 1, "vertex count")
     try:
         values = json.loads(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting

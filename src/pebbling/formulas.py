@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .configs import check_vertices
+from .configs import check_int, check_vertices
 from .errors import PebblingError
 from .graphs import Graph, diameter
 from .solver import pebbling_number_graph
@@ -17,8 +17,8 @@ from .solver import pebbling_number_graph
 
 def pi_complete(n: int, k: int) -> int:
     """Complete graph on n vertices with uniform edge weight k."""
-    if n < 1 or k < 1:
-        raise PebblingError("need n >= 1 and k >= 1")
+    check_int(n, 1, "n")
+    check_int(k, 1, "k")
     return (n - 1) * (k - 1) + 1
 
 
@@ -88,8 +88,8 @@ def pi_tree(g: Graph, r: int, k: int = 2, n: int = 1) -> int:
     """n-fold pebbling number of a uniform weight-k tree toward root r:
     n*k^s1 + k^s2 + ... + k^sm - m + 1 over the maximum path-partition
     sizes s1 >= s2 >= ... >= sm."""
-    if k < 2 or n < 1:
-        raise PebblingError("need k >= 2 and n >= 1")
+    check_int(k, 2, "k")
+    check_int(n, 1, "n")
     sizes = max_path_partition(g, r).sizes()
     if not sizes:
         return n  # single-vertex tree
@@ -101,8 +101,7 @@ def pi_tree(g: Graph, r: int, k: int = 2, n: int = 1) -> int:
 
 def pi_cycle(m: int) -> int:
     """Weight-2 cycle: 2^n for m = 2n, 2*floor(2^(n+1)/3) + 1 for m = 2n+1."""
-    if m < 3:
-        raise PebblingError("cycle needs at least 3 vertices")
+    check_int(m, 3, "cycle size")
     if m % 2 == 0:
         return 2 ** (m // 2)
     n = (m - 1) // 2
@@ -111,8 +110,8 @@ def pi_cycle(m: int) -> int:
 
 def pi_weighted_hypercube(ks: list[int]) -> int:
     """Grid of two-vertex paths with weights ks: pi is the product."""
-    if not ks or any(k < 2 for k in ks):
-        raise PebblingError("need at least one weight, all >= 2")
+    if not ks:
+        raise PebblingError("hypercube needs at least one weight")
     return pi_grid([(2, k) for k in ks])
 
 
@@ -122,22 +121,22 @@ def pi_grid(dims: list[tuple[int, int]]) -> int:
         raise PebblingError("grid needs at least one dimension")
     out = 1
     for n, k in dims:
-        if n < 1 or k < 2:
-            raise PebblingError("need n >= 1 and k >= 2 per dimension")
+        check_int(n, 1, "size")
+        check_int(k, 2, "weight")
         out *= k ** (n - 1)
     return out
 
 
 def pi_complete_bipartite(m: int, n: int) -> int:
-    if m < 2 or n < 2:
-        raise PebblingError("need both parts >= 2")
+    check_int(m, 2, "m")
+    check_int(n, 2, "n")
     return m + n
 
 
 def pi_instar(n: int, k: int) -> int:
     """Inward star with n leaves and weight-k edges, target the sink."""
-    if n < 1 or k < 2:
-        raise PebblingError("need n >= 1 and k >= 2")
+    check_int(n, 1, "n")
+    check_int(k, 2, "k")
     return n * k - n + 1
 
 
@@ -161,6 +160,6 @@ def classify_diameter2(g: Graph, jobs: int = 1) -> tuple[int, int, str]:
 
 def config_count(n: int, k: int) -> int:
     """Number of ways to place k pebbles on n vertices: C(k+n-1, n-1)."""
-    if n < 1 or k < 0:
-        raise PebblingError("need n >= 1 and k >= 0")
+    check_int(n, 1, "n")
+    check_int(k, 0, "k")
     return comb(k + n - 1, n - 1)

@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .configs import check_config, check_vertices, text_records
+from .configs import check_config, check_int, check_vertices, text_records
 from .errors import PebblingError
 
 Edge = tuple[int, int, int]  # (from, to, weight)
@@ -27,20 +27,16 @@ class Graph:
 
     def __post_init__(self):
         n = self.vertex_count
-        if type(n) is not int or n < 1:  # bool is an int
-            raise PebblingError(f"graph needs a positive int vertex count, got {n!r}")
+        check_int(n, 1, "vertex count")
+        check_vertices(n, [x for u, v, _ in self.edges for x in (u, v)], "edge endpoint")
         seen = set()
         for u, v, w in self.edges:
-            if {type(u), type(v), type(w)} != {int}:
-                raise PebblingError(f"edge ({u!r},{v!r},{w!r}) has a field that is not an int")
             if u == v:
                 raise PebblingError(f"self-loop at vertex {u}")
-            if w < 2:
-                raise PebblingError(f"edge ({u},{v}) has weight {w} < 2")
+            check_int(w, 2, f"edge ({u},{v}) weight")
             if (u, v) in seen:
                 raise PebblingError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
-        check_vertices(n, [x for u, v, _ in self.edges for x in (u, v)], "edge endpoint")
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
     @cached_property
@@ -78,9 +74,9 @@ class Graph:
         weights along a directed path to ``t``.  ``cost[v]`` pebbles on v
         suffice to move one pebble to t; ``None`` marks vertices that
         cannot reach t at all."""
+        check_vertices(self.vertex_count, (t,), "target")
         cache = self.__dict__.setdefault("_costs", {})
         if t not in cache:
-            check_vertices(self.vertex_count, (t,), "target")
             cost: list[int | None] = [None] * self.vertex_count
             heap = [(1, t)]
             while heap:
@@ -119,6 +115,7 @@ def graph_from_text(text: str) -> Graph:
 
 
 def _undirected(n: int, pairs, k: int) -> Graph:
+    check_int(k, 2, "weight")
     edges = []
     for u, v in pairs:
         edges.append((u, v, k))
@@ -127,32 +124,34 @@ def _undirected(n: int, pairs, k: int) -> Graph:
 
 
 def complete_graph(n: int, k: int = 2) -> Graph:
+    check_int(n, 1, "size")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return _undirected(n, pairs, k)
 
 
 def cycle_graph(m: int, k: int = 2) -> Graph:
-    if m < 3:
-        raise PebblingError("cycle needs at least 3 vertices")
+    check_int(m, 3, "size")
     pairs = [(i, (i + 1) % m) for i in range(m)]
     return _undirected(m, pairs, k)
 
 
 def path_graph(n: int, k: int = 2) -> Graph:
+    check_int(n, 1, "size")
     pairs = [(i, i + 1) for i in range(n - 1)]
     return _undirected(n, pairs, k)
 
 
 def star_graph(leaves: int, k: int = 2) -> Graph:
     """Star with center 0 and the given number of leaves."""
+    check_int(leaves, 1, "leaves")
     pairs = [(0, i) for i in range(1, leaves + 1)]
     return _undirected(leaves + 1, pairs, k)
 
 
 def complete_bipartite_graph(m: int, n: int, k: int = 2) -> Graph:
     """Complete bipartite graph; the first part is vertices 0..m-1."""
-    if m < 1 or n < 1:
-        raise PebblingError("both parts need at least one vertex")
+    check_int(m, 1, "m")
+    check_int(n, 1, "n")
     pairs = [(a, m + b) for a in range(m) for b in range(n)]
     return _undirected(m + n, pairs, k)
 
@@ -164,6 +163,7 @@ def arrow_graph(k: int) -> Graph:
 
 def instar_graph(leaves: int, k: int) -> Graph:
     """Inward star: every leaf points at the central sink, vertex 0."""
+    check_int(leaves, 1, "leaves")
     edges = tuple((i, 0, k) for i in range(1, leaves + 1))
     return Graph(leaves + 1, edges)
 
@@ -196,8 +196,7 @@ def divisors(n: int) -> list[int]:
 
 def divisor_lattice(n: int) -> Graph:
     """Divisors of n, ascending; edge (p, d) for every p | d with weight d/p."""
-    if n < 1:
-        raise PebblingError("divisor lattice needs n >= 1")
+    check_int(n, 1, "n")
     divs = divisors(n)
     index = {d: i for i, d in enumerate(divs)}
     edges = []
@@ -239,27 +238,24 @@ def grid_graph(dims: list[tuple[int, int]]) -> Graph:
     return g
 
 
-def _parse_int(s: str, minimum: int, what: str) -> int:
+def _parse_int(s: str, what: str) -> int:
     try:
-        value = int(s)
+        return int(s)
     except ValueError:
         raise PebblingError(f"bad {what}: {s!r}") from None
-    if value < minimum:
-        raise PebblingError(f"{what} must be >= {minimum}, got {value}")
-    return value
 
 
-# kind -> (builder, (name, minimum) per argument); hypercube and grid
-# take any number of arguments and have their own lines.
-_SIZE_AND_WEIGHT = (("size", 1), ("weight", 2))
+# kind -> (builder, argument names); each builder checks its own
+# arguments.  hypercube and grid take any number of arguments and have
+# their own lines.
 _FAMILIES = {
-    "complete": (complete_graph, _SIZE_AND_WEIGHT),
-    "cycle": (cycle_graph, _SIZE_AND_WEIGHT),
-    "path": (path_graph, _SIZE_AND_WEIGHT),
-    "star": (star_graph, _SIZE_AND_WEIGHT),
-    "instar": (instar_graph, _SIZE_AND_WEIGHT),
-    "arrow": (arrow_graph, (("weight", 2),)),
-    "divisor_lattice": (divisor_lattice, (("n", 1),)),
+    "complete": (complete_graph, ("size", "weight")),
+    "cycle": (cycle_graph, ("size", "weight")),
+    "path": (path_graph, ("size", "weight")),
+    "star": (star_graph, ("leaves", "weight")),
+    "instar": (instar_graph, ("leaves", "weight")),
+    "arrow": (arrow_graph, ("weight",)),
+    "divisor_lattice": (divisor_lattice, ("n",)),
     "petersen": (petersen_graph, ()),
     "lemke": (lemke_graph, ()),
 }
@@ -269,12 +265,12 @@ def _make_single_family(spec: str) -> Graph:
     spec = spec.strip()
     kind, *args = spec.split(":")
     if kind == "hypercube":
-        return hypercube_graph([_parse_int(a, 2, "weight") for a in args])
+        return hypercube_graph([_parse_int(a, "weight") for a in args])
     if kind == "grid":
         if len(args) % 2 != 0 or not args:
             raise PebblingError("grid takes n:k pairs, e.g. grid:3:2:2:2")
         dims = [
-            (_parse_int(args[i], 1, "length"), _parse_int(args[i + 1], 2, "weight"))
+            (_parse_int(args[i], "size"), _parse_int(args[i + 1], "weight"))
             for i in range(0, len(args), 2)
         ]
         return grid_graph(dims)
@@ -284,7 +280,7 @@ def _make_single_family(spec: str) -> Graph:
     if len(args) != len(params):
         plural = "" if len(params) == 1 else "s"
         raise PebblingError(f"{kind} takes {len(params)} argument{plural}, got {spec!r}")
-    return build(*(_parse_int(a, low, name) for a, (name, low) in zip(args, params)))
+    return build(*(_parse_int(a, name) for a, name in zip(args, params)))
 
 
 def make_family(spec: str) -> Graph:
@@ -333,17 +329,13 @@ def validate_homomorphism(h: Homomorphism) -> bool:
 
 
 def least_prime_factor(n: int) -> int:
-    for p in range(2, n + 1):
-        if n % p == 0:
-            return p
-    raise PebblingError("n must be >= 2")
+    check_int(n, 2, "n")
+    return next(p for p in range(2, n + 1) if n % p == 0)
 
 
 def arrow_divisor_hom(n: int) -> Homomorphism:
     """Surjective homomorphism arrow(p) square D_{n/p} -> D_n for p the
     least prime factor of n: (0, d) maps to d and (1, d) to p*d."""
-    if n < 2:
-        raise PebblingError("need n >= 2")
     p = least_prime_factor(n)
     m = n // p
     dm = divisor_lattice(m)

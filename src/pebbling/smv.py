@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PebblingError
+from .configs import check_int
 from .graphs import Graph
 
 # Vertices are rendered 1-based as c[1]..c[n].
@@ -47,8 +47,7 @@ def _model(g: Graph, header: list[str], least: int) -> SmvModel:
 def emit_pebbling_model(g: Graph, total_pebbles: int) -> SmvModel:
     """Model checking that from every configuration of the given size one
     pebble can reach each vertex (SPEC EF c[i] > 0)."""
-    if total_pebbles < 0:
-        raise PebblingError("pebble count must be non-negative")
+    check_int(total_pebbles, 0, "pebble count")
     n = g.vertex_count
     total_sum = " + ".join(f"c[{i + 1}]" for i in range(n))
     header = [
@@ -63,8 +62,7 @@ def emit_2pp_model(g: Graph, pi: int) -> SmvModel:
     """Model checking the 2-pebbling property: initial configurations have
     2*pi + 1 - (occupied vertex count) pebbles, and every vertex should be
     able to receive two (SPEC EF c[i] > 1)."""
-    if pi < 1:
-        raise PebblingError("pebbling number must be >= 1")
+    check_int(pi, 1, "pebbling number")
     n = g.vertex_count
     total_sum = " + ".join(f"c[{i + 1}]" for i in range(n))
     occupied = ", ".join(f"c[{i + 1}]>0" for i in range(n))

@@ -74,13 +74,18 @@ def replay(g: Graph, c: Config, steps) -> Config:
 
 
 def _check_instance(g: Graph, c: Config | None, t: int, n: int) -> None:
-    """Reject a target that is not a vertex, a negative n, or a
-    configuration (when given) that ``configs.check_config`` rejects."""
+    """Reject a target that is not a vertex, an n that is not an int >= 0,
+    or a configuration (when given) that ``configs.check_config`` rejects."""
     configs.check_vertices(g.vertex_count, (t,), "target")
-    if n < 0:
-        raise PebblingError(f"need n >= 0, got {n}")
+    configs.check_int(n, 0, "n")
     if c is not None:
         configs.check_config(c, g.vertex_count)
+
+
+def check_reachable(g: Graph, t: int) -> None:
+    """Reject a target that some vertex cannot reach."""
+    if None in g.cost_to(t):
+        raise PebblingError(f"target {t} is not reachable from every vertex")
 
 
 @dataclass(frozen=True)
@@ -324,10 +329,8 @@ def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config |
     the smallest unsolvable one, whatever the worker count.
     """
     _check_instance(g, None, t, n)
-    if p < 0:
-        raise PebblingError(f"need size p >= 0, got {p}")
-    if jobs < 1:
-        raise PebblingError(f"need jobs >= 1, got {jobs}")
+    configs.check_int(p, 0, "size p")
+    configs.check_int(jobs, 1, "jobs")
     if n == 0:
         return None
     w = _singleton_witness(g, t, n, p)
@@ -353,11 +356,9 @@ def pebbling_number(g: Graph, t: int, n: int = 1, jobs: int = 1) -> PebblingNumb
     Solvability is monotone in the configuration, so checking size exactly
     p suffices for all larger sizes.
     """
+    configs.check_int(n, 1, "n")
     _check_instance(g, None, t, n)
-    if n < 1:
-        raise PebblingError("need n >= 1")
-    if None in _target(g, t).cost:
-        raise PebblingError(f"target {t} is not reachable from every vertex")
+    check_reachable(g, t)
     # Singleton witnesses cover all sizes up to #V + n - 2.
     p = g.vertex_count + n - 1
     witness = _singleton_witness(g, t, n, p - 1)
@@ -401,12 +402,10 @@ def has_2pp(g: Graph, pi: int, variant: str = "support"):
     """
     if variant not in ("support", "odd"):
         raise PebblingError(f"unknown 2PP variant {variant!r}")
-    if pi < 1:
-        raise PebblingError(f"pebbling number must be >= 1, got {pi}")
+    configs.check_int(pi, 1, "pebbling number")
     nv = g.vertex_count
     for t in range(nv):
-        if None in _target(g, t).cost:
-            raise PebblingError(f"target {t} is not reachable from every vertex")
+        check_reachable(g, t)
     for s in range(max(2 * pi - nv + 1, 0), 2 * pi + 2):
         q = 2 * pi + 1 - s
         if variant == "support":
@@ -473,6 +472,7 @@ def verify_tau(g: Graph, t: int, n: int, k: int, p: int, m_max: int) -> bool:
     every configuration c with |c| = p - s#(c) + 1 + m there must be an
     n-fold t-solvable subconfiguration whose residual keeps k-reduced size
     at least m.  A True result certifies the bound up to m_max only.
+    p >= -1: below it no configuration has m = 0, so nothing is tested.
 
     Each configuration has one m = |c| + s#(c) - p - 1, so the sizes s in
     max(p + 1 - #V, 0) .. p + 1 + m_max with the support window s# in
@@ -484,8 +484,9 @@ def verify_tau(g: Graph, t: int, n: int, k: int, p: int, m_max: int) -> bool:
     size s - n - (k - 1)(s# - e - 1), e = [c(t) = n > 0], so the test
     holds exactly when k * s# <= p + 1 - n + (k - 1)(1 + e)."""
     _check_instance(g, None, t, n)
-    if m_max < 0 or k < 1:
-        raise PebblingError("need m_max >= 0, k >= 1")
+    configs.check_int(k, 1, "k")
+    configs.check_int(p, -1, "p")
+    configs.check_int(m_max, 0, "m_max")
     nv = g.vertex_count
     ones = (1,) * (nv - 1)
     for s in range(max(p + 1 - nv, 0), p + 2 + m_max):

@@ -21,10 +21,10 @@ from functools import reduce
 from math import lcm
 from numbers import Rational
 
-from .configs import Config, check_config, check_vertices, text_records
+from .configs import Config, check_config, check_int, check_vertices, text_records
 from .errors import PebblingError
 from .graphs import Graph, bfs_distances
-from .solver import Step
+from .solver import Step, check_reachable
 
 
 def _require_exact(values) -> None:
@@ -156,8 +156,7 @@ def cycle_weight_functions(m: int, t: int) -> tuple[WeightFunction, WeightFuncti
     covering bound exact: clockwise distance i from t gets weight
     2^(h - i) for 1 <= i <= h, where h is m/2 for even m and (m+1)/2 for
     odd m (one vertex past the antipode); the mirror runs the other way."""
-    if m < 3:
-        raise PebblingError("cycle needs at least 3 vertices")
+    check_int(m, 3, "cycle size")
     check_vertices(m, (t,), "target")
     h = m // 2 if m % 2 == 0 else (m + 1) // 2
     w1 = [Fraction(0)] * m
@@ -248,6 +247,7 @@ def lp_bound_details(
     """(floor(optimum) + 1, optimum, primal, dual) of the LP maximizing the
     total over non-target vertices subject to w_i . c <= |w_i|; bounded,
     as the family covers every variable with non-negative weights."""
+    check_vertices(g.vertex_count, (t,), "target")
     _family_target(g, ws, t)
     variables = [v for v in range(g.vertex_count) if v != t]
     lp = LinearProgram(
@@ -262,9 +262,8 @@ def random_weight_function(g: Graph, t: int, rng: random.Random) -> WeightFuncti
     """Random valid weight function, built backward from the target: each
     vertex gets at most half the weight of its best already-assigned
     neighbor, so the defining clauses hold by construction."""
+    check_reachable(g, t)
     dist = bfs_distances(g, t)
-    if any(d is None for d in dist):
-        raise PebblingError("target must be reachable from every vertex")
     weights = [Fraction(0)] * g.vertex_count
     order = sorted(
         (v for v in range(g.vertex_count) if v != t), key=lambda v: (dist[v], v)
@@ -292,6 +291,7 @@ def weight_function_to_text(w: WeightFunction) -> str:
 
 
 def weight_function_from_text(text: str, vertex_count: int) -> WeightFunction:
+    check_int(vertex_count, 1, "vertex count")
     target = None
     weights = [Fraction(0)] * vertex_count
     seen = set()

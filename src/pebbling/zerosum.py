@@ -15,7 +15,7 @@ from collections import deque
 from functools import lru_cache
 from math import gcd
 
-from .configs import check_vertices
+from .configs import check_int, check_vertices
 from .errors import PebblingError
 from .flows import realize, solve_via_flow
 from .graphs import Graph, divisor_lattice
@@ -26,8 +26,7 @@ IndexSet = frozenset[int]
 def zero_sum_mod(seq: list[int], n: int) -> IndexSet:
     """Non-empty contiguous 1-based index range of the first n entries
     whose sum is divisible by n, found by the prefix-sum pigeonhole."""
-    if n < 1:
-        raise PebblingError("modulus must be >= 1")
+    check_int(n, 1, "modulus")
     if len(seq) < n:
         raise PebblingError(f"need at least {n} entries, got {len(seq)}")
     seen: dict[int, int] = {0: 0}
@@ -121,8 +120,8 @@ def _lattice_solution(n: int, starts: list[int]):
 
 def _require_divisors(n: int, seq: list[int]) -> None:
     for a in seq:
-        if a < 1 or n % a != 0:
-            raise PebblingError(f"{a} is not a divisor of {n}")
+        if type(a) is not int or a < 1 or n % a != 0:
+            raise PebblingError(f"{a!r} is not a divisor of {n}")
 
 
 def divisor_zero_sum(n: int, divisors: list[int]) -> IndexSet:
@@ -132,10 +131,9 @@ def divisor_zero_sum(n: int, divisors: list[int]) -> IndexSet:
     unions p payloads of sum d into one of sum p*d, so the payload
     reaching vertex n sums to n.
     """
+    check_int(n, 1, "n")
     if len(divisors) != n:
         raise PebblingError(f"need exactly {n} divisors, got {len(divisors)}")
-    if n < 1:
-        raise PebblingError("need n >= 1")
     _require_divisors(n, divisors)
     g, verts, t, steps = _lattice_solution(n, divisors)
     at = (0, *divisors).__getitem__  # 1-based
@@ -162,12 +160,11 @@ def gcd_zero_sum(n: int, seq: list[int]) -> IndexSet:
     of the ratios x_i/d modulo p selects payloads whose union sums to a
     multiple of p*d with gcd-sum at most p*d.
     """
+    check_int(n, 1, "n")
     if len(seq) != n:
         raise PebblingError(f"need exactly {n} entries, got {len(seq)}")
-    if n < 1:
-        raise PebblingError("need n >= 1")
-    if any(a < 1 for a in seq):
-        raise PebblingError("entries must be positive")
+    if not set(map(type, seq)) <= {int} or min(seq) < 1:
+        raise PebblingError("entries must be positive ints")
     gcds = [gcd(n, a) for a in seq]
     g, verts, t, steps = _lattice_solution(n, gcds)
     at = (0, *seq).__getitem__  # 1-based
@@ -196,8 +193,8 @@ def gcd_zero_sum(n: int, seq: list[int]) -> IndexSet:
 def erdos_lemke(n: int, d: int, seq: list[int]) -> IndexSet:
     """Non-empty subset of d divisors of n (d | n) with sum divisible by d
     and sum at most n."""
-    if d < 1 or n < 1 or n % d != 0:
-        raise PebblingError("need d >= 1 dividing n")
+    check_int(n, 1, "n")
+    _require_divisors(n, (d,))
     if len(seq) != d:
         raise PebblingError(f"need exactly {d} entries, got {len(seq)}")
     _require_divisors(n, seq)

@@ -3,40 +3,80 @@ what is wrong, instead of a bare ValueError, an IndexError or a wrong
 answer."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from pebbling.cli import _load_steps
-from pebbling.configs import config_from_json, config_from_pairs, config_from_text
+from pebbling.configs import (
+    config_from_json,
+    config_from_pairs,
+    config_from_text,
+    enumerate_configs,
+    enumerate_configs_with_support,
+    extract_blocks,
+    extract_single_block,
+    reduced_size,
+)
 from pebbling.errors import PebblingError
 from pebbling.flows import PebbleFlow, flow_from_text, solve_via_flow
-from pebbling.formulas import pi_tree
+from pebbling.formulas import (
+    classify_diameter2,
+    config_count,
+    pi_complete,
+    pi_complete_bipartite,
+    pi_cycle,
+    pi_grid,
+    pi_instar,
+    pi_tree,
+    pi_weighted_hypercube,
+)
 from pebbling.graphs import (
     Graph,
     Homomorphism,
+    arrow_divisor_hom,
+    arrow_graph,
     bfs_distances,
+    complete_bipartite_graph,
+    complete_graph,
     cycle_graph,
+    divisor_lattice,
     graph_from_text,
+    grid_graph,
+    hypercube_graph,
+    instar_graph,
+    least_prime_factor,
     make_family,
     path_graph,
+    star_graph,
 )
+from pebbling.smv import emit_2pp_model, emit_pebbling_model
 from pebbling.solver import (
     apply_step,
     find_unsolvable,
+    has_2pp,
     is_solvable,
     pebbling_number,
+    pebbling_number_graph,
     replay,
     verify_tau,
 )
 from pebbling.weights import (
     WeightFunction,
     cycle_weight_functions,
+    lp_bound,
     random_weight_function,
     weight_function_from_text,
     wfl_solve,
 )
-from pebbling.zerosum import pebbling_construction
+from pebbling.zerosum import (
+    divisor_zero_sum,
+    erdos_lemke,
+    gcd_zero_sum,
+    pebbling_construction,
+    zero_sum_mod,
+)
 
 
 def _steps_file(tmp_path, text):
@@ -119,6 +159,7 @@ VERTEX_ENTRIES = [
      lambda v: weight_function_from_text(f"target 0\nw {v} 1\n", 4)),
     ("random_weight_function", 5,
      lambda v: random_weight_function(cycle_graph(5), v, random.Random(1))),
+    ("lp_bound", 4, lambda v: lp_bound(cycle_graph(4), v, list(cycle_weight_functions(4, 0)))),
     ("pi_tree", 3, lambda v: pi_tree(path_graph(3), v)),
     ("Homomorphism", 2, lambda v: Homomorphism(path_graph(2), path_graph(2), (0, v))),
     ("pebbling_construction target", 2,
@@ -137,6 +178,167 @@ def test_vertex_outside_graph_raises_pebbling_error(nv, call, side):
     v = -1 if side == "below" else nv
     with pytest.raises(PebblingError, match=rf" {v} is not a vertex \(0\.\.{nv - 1}\)$"):
         call(v)
+
+
+def _cost_to_after_a_hit(v):
+    g = path_graph(3)
+    g.cost_to(1)  # a cached target must not let an equal non-int through
+    return g.cost_to(v)
+
+
+# Entries whose vertex ids come from a text line are parsed as ints.
+TYPED_VERTEX_ENTRIES = [e for e in VERTEX_ENTRIES if "from_text" not in e[0]] + [
+    ("Graph.cost_to cached", 3, _cost_to_after_a_hit),
+]
+
+
+@pytest.mark.parametrize("v", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "nv, call",
+    [entry[1:] for entry in TYPED_VERTEX_ENTRIES],
+    ids=[e[0] for e in TYPED_VERTEX_ENTRIES],
+)
+def test_vertex_that_is_not_an_int_raises_pebbling_error(nv, call, v):
+    # 1.0 and True equal the vertex 1, which every graph here has.
+    with pytest.raises(PebblingError, match=rf" {v} is not a vertex \(0\.\.{nv - 1}\)$"):
+        call(v)
+
+
+# (entry, what the message names, minimum, a valid value, call with the
+# value): every public entry that takes an integer other than a vertex id.
+INT_ENTRIES = [
+    ("reduced_size k", "k", 1, 2, lambda x: reduced_size((1, 2), x)),
+    ("extract_blocks k", "k", 1, 1, lambda x: extract_blocks((2, 1), x, 1)),
+    ("extract_blocks n", "n", 0, 1, lambda x: extract_blocks((2, 1), 1, x)),
+    ("extract_single_block k", "k", 1, 1, lambda x: extract_single_block((2, 0), x, 0)),
+    ("extract_single_block n", "n", 0, 0, lambda x: extract_single_block((0, 0), 2, x)),
+    ("enumerate_configs vertex_count", "vertex count", 1, 2,
+     lambda x: list(enumerate_configs(x, 1))),
+    ("enumerate_configs total", "size", 0, 1, lambda x: list(enumerate_configs(2, x))),
+    ("enumerate_configs_with_support vertex_count", "vertex count", 1, 2,
+     lambda x: list(enumerate_configs_with_support(x, 1, 1))),
+    ("enumerate_configs_with_support support_size", "support size", 0, 1,
+     lambda x: list(enumerate_configs_with_support(2, 1, x))),
+    ("config_from_pairs vertex_count", "vertex count", 1, 2,
+     lambda x: config_from_pairs(x, [(0, 1)])),
+    ("config_from_pairs count", "pebble count", 0, 1, lambda x: config_from_pairs(2, [(0, x)])),
+    ("config_from_json vertex_count", "vertex count", 1, 2,
+     lambda x: config_from_json("[1, 0]", x)),
+    ("is_solvable n", "n", 0, 1, lambda x: is_solvable(path_graph(3), (4, 0, 0), 2, x)),
+    ("solve_via_flow n", "n", 0, 1, lambda x: solve_via_flow(path_graph(3), (4, 0, 0), 2, x)),
+    ("find_unsolvable n", "n", 0, 1, lambda x: find_unsolvable(path_graph(3), 0, x, 2)),
+    ("find_unsolvable p", "size p", 0, 2, lambda x: find_unsolvable(path_graph(3), 0, 1, x)),
+    ("find_unsolvable jobs", "jobs", 1, 1,
+     lambda x: find_unsolvable(path_graph(3), 0, 1, 2, jobs=x)),
+    ("pebbling_number n", "n", 1, 1, lambda x: pebbling_number(path_graph(3), 0, x)),
+    ("pebbling_number jobs", "jobs", 1, 1,
+     lambda x: pebbling_number(path_graph(3), 0, 1, jobs=x)),
+    ("pebbling_number_graph jobs", "jobs", 1, 1,
+     lambda x: pebbling_number_graph(path_graph(3), jobs=x)),
+    ("has_2pp pi", "pebbling number", 1, 4, lambda x: has_2pp(path_graph(3), x)),
+    ("verify_tau n", "n", 0, 1, lambda x: verify_tau(path_graph(3), 0, x, 2, 3, 1)),
+    ("verify_tau k", "k", 1, 2, lambda x: verify_tau(path_graph(3), 0, 1, x, 3, 1)),
+    ("verify_tau p", "p", -1, 3, lambda x: verify_tau(path_graph(3), 0, 1, 2, x, 1)),
+    ("verify_tau m_max", "m_max", 0, 1, lambda x: verify_tau(path_graph(3), 0, 1, 2, 3, x)),
+    ("pi_complete n", "n", 1, 3, lambda x: pi_complete(x, 2)),
+    ("pi_complete k", "k", 1, 2, lambda x: pi_complete(3, x)),
+    ("pi_tree k", "k", 2, 2, lambda x: pi_tree(path_graph(3), 0, x)),
+    ("pi_tree n", "n", 1, 1, lambda x: pi_tree(path_graph(3), 0, 2, x)),
+    ("pi_cycle", "cycle size", 3, 4, pi_cycle),
+    ("pi_weighted_hypercube", "weight", 2, 2, lambda x: pi_weighted_hypercube([2, x])),
+    ("pi_grid size", "size", 1, 2, lambda x: pi_grid([(x, 2)])),
+    ("pi_grid weight", "weight", 2, 2, lambda x: pi_grid([(2, x)])),
+    ("pi_complete_bipartite m", "m", 2, 2, lambda x: pi_complete_bipartite(x, 2)),
+    ("pi_complete_bipartite n", "n", 2, 2, lambda x: pi_complete_bipartite(2, x)),
+    ("pi_instar n", "n", 1, 2, lambda x: pi_instar(x, 2)),
+    ("pi_instar k", "k", 2, 2, lambda x: pi_instar(2, x)),
+    ("config_count n", "n", 1, 2, lambda x: config_count(x, 2)),
+    ("config_count k", "k", 0, 2, lambda x: config_count(2, x)),
+    ("classify_diameter2 jobs", "jobs", 1, 1,
+     lambda x: classify_diameter2(cycle_graph(5), jobs=x)),
+    ("Graph vertex_count", "vertex count", 1, 2, lambda x: Graph(x, ((0, 1, 2),))),
+    ("Graph weight", "edge (0,1) weight", 2, 2, lambda x: Graph(2, ((0, 1, x),))),
+    ("complete_graph n", "size", 1, 2, lambda x: complete_graph(x)),
+    ("complete_graph k", "weight", 2, 2, lambda x: complete_graph(1, x)),
+    ("cycle_graph m", "size", 3, 3, lambda x: cycle_graph(x)),
+    ("cycle_graph k", "weight", 2, 2, lambda x: cycle_graph(3, x)),
+    ("path_graph n", "size", 1, 2, lambda x: path_graph(x)),
+    ("path_graph k", "weight", 2, 2, lambda x: path_graph(1, x)),
+    ("star_graph leaves", "leaves", 1, 2, lambda x: star_graph(x)),
+    ("star_graph k", "weight", 2, 2, lambda x: star_graph(1, x)),
+    ("instar_graph leaves", "leaves", 1, 2, lambda x: instar_graph(x, 2)),
+    ("instar_graph k", "edge (1,0) weight", 2, 2, lambda x: instar_graph(1, x)),
+    ("arrow_graph k", "edge (0,1) weight", 2, 2, arrow_graph),
+    ("complete_bipartite_graph m", "m", 1, 1, lambda x: complete_bipartite_graph(x, 1)),
+    ("complete_bipartite_graph n", "n", 1, 1, lambda x: complete_bipartite_graph(1, x)),
+    ("complete_bipartite_graph k", "weight", 2, 2,
+     lambda x: complete_bipartite_graph(1, 1, x)),
+    ("divisor_lattice", "n", 1, 6, divisor_lattice),
+    ("least_prime_factor", "n", 2, 6, least_prime_factor),
+    ("arrow_divisor_hom", "n", 2, 6, arrow_divisor_hom),
+    ("hypercube_graph", "weight", 2, 2, lambda x: hypercube_graph([2, x])),
+    ("grid_graph size", "size", 1, 2, lambda x: grid_graph([(2, 2), (x, 2)])),
+    ("grid_graph weight", "weight", 2, 2, lambda x: grid_graph([(2, 2), (2, x)])),
+    ("emit_pebbling_model", "pebble count", 0, 2,
+     lambda x: emit_pebbling_model(path_graph(2), x)),
+    ("emit_2pp_model", "pebbling number", 1, 2, lambda x: emit_2pp_model(path_graph(2), x)),
+    ("zero_sum_mod", "modulus", 1, 2, lambda x: zero_sum_mod([1, 1], x)),
+    ("divisor_zero_sum n", "n", 1, 2, lambda x: divisor_zero_sum(x, [1, 1])),
+    ("gcd_zero_sum n", "n", 1, 2, lambda x: gcd_zero_sum(x, [1, 1])),
+    ("erdos_lemke n", "n", 1, 2, lambda x: erdos_lemke(x, 2, [1, 1])),
+    ("cycle_weight_functions", "cycle size", 3, 4, lambda x: cycle_weight_functions(x, 0)),
+    ("weight_function_from_text vertex_count", "vertex count", 1, 2,
+     lambda x: weight_function_from_text("target 0\n", x)),
+]
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "below"])
+@pytest.mark.parametrize(
+    "what, minimum, valid, call", [e[1:] for e in INT_ENTRIES], ids=[e[0] for e in INT_ENTRIES]
+)
+def test_integer_that_is_not_an_int_or_too_small_raises_pebbling_error(
+    what, minimum, valid, call, kind
+):
+    # One message shape from configs.check_int.  The valid value passes,
+    # so the error is the argument's; a float equal to it does not.
+    call(valid)
+    x = {"float": float(valid), "bool": True, "below": minimum - 1}[kind]
+    message = rf"^{re.escape(what)} must be an int >= {minimum}, got {re.escape(repr(x))}$"
+    with pytest.raises(PebblingError, match=message):
+        call(x)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # without the checks each of these returns an answer
+        (lambda: find_unsolvable(path_graph(3), 0, 1, 2.5), "size p must be an int >= 0"),
+        (lambda: is_solvable(path_graph(3), (4, 0, 0), 2, 1.5), "n must be an int >= 0"),
+        (lambda: is_solvable(path_graph(3), (4, 0, 0), True, 1), "target True is not a vertex"),
+        (lambda: pi_cycle(4.5), "cycle size must be an int >= 3"),
+        (lambda: extract_single_block((0, 0), 2, -1), "n must be an int >= 0"),
+        (lambda: verify_tau(path_graph(3), 0, 1, 1, -3, 0), "p must be an int >= -1"),
+        (lambda: config_from_pairs(3, [(0, 1.5)]), "pebble count must be an int >= 0"),
+        (lambda: list(enumerate_configs_with_support(2, 1.5, 1)), "size must be an int >= 0"),
+        (lambda: list(enumerate_configs_with_support(2, True, 1)), "size must be an int >= 0"),
+        (lambda: divisor_zero_sum(2, [1, 1.0]), "1.0 is not a divisor of 2"),
+        (lambda: erdos_lemke(4, 2.0, [1, 1]), "2.0 is not a divisor of 4"),
+        (lambda: erdos_lemke(4, 3, [1, 1, 1]), "3 is not a divisor of 4"),
+        (lambda: gcd_zero_sum(2, [1.0, 1]), "entries must be positive ints"),
+        # and each of these ends in a TypeError
+        (lambda: pebbling_number(path_graph(3), 0, 1.5), "n must be an int >= 1"),
+        (lambda: cycle_graph(3.0), "size must be an int >= 3"),
+        (lambda: divisor_zero_sum(2.0, [1, 1]), "n must be an int >= 1"),
+        (lambda: bfs_distances(path_graph(3), 1.0), "target 1.0 is not a vertex"),
+        # each builder checks its own minimums, which the family table once held
+        (lambda: make_family("cycle:2:2"), "size must be an int >= 3, got 2"),
+        (lambda: make_family("path:1:1"), "weight must be an int >= 2, got 1"),
+        (lambda: make_family("grid:2:2:0:2"), "size must be an int >= 1, got 0"),
+    ],
+)
+def test_answers_and_tracebacks_from_bad_integers_are_pebbling_errors(call, message):
+    with pytest.raises(PebblingError, match=f"^{re.escape(message)}"):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -179,8 +179,11 @@ def test_verify_tau_small():
 
 
 def test_verify_tau_rejects_bad_bounds():
-    for m_max, k in ((-1, 2), (1, 0)):
-        with pytest.raises(PebblingError, match="need m_max >= 0, k >= 1"):
+    for m_max, k, message in (
+        (-1, 2, "m_max must be an int >= 0, got -1"),
+        (1, 0, "k must be an int >= 1, got 0"),
+    ):
+        with pytest.raises(PebblingError, match=message):
             verify_tau(path_graph(2), 1, 1, k, 3, m_max)
 
 
@@ -314,18 +317,18 @@ def test_bad_instances_raise():
         solve_via_flow(path_graph(3), (1, 2, 0, 0), 0, 1)
     with pytest.raises(PebblingError):
         pebbling_number(path_graph(3), 9)
-    with pytest.raises(PebblingError, match="size p >= 0"):
+    with pytest.raises(PebblingError, match="size p must be an int >= 0, got -1"):
         find_unsolvable(path_graph(3), 0, 1, -1)
 
 
 def test_worker_count_below_one_raises():
     # With no worker the strided scan would decide nothing and answer None.
     for jobs in (0, -3):
-        with pytest.raises(PebblingError, match="jobs >= 1"):
+        with pytest.raises(PebblingError, match="jobs must be an int >= 1"):
             find_unsolvable(cycle_graph(8), 0, 1, 15, jobs=jobs)
-        with pytest.raises(PebblingError, match="jobs >= 1"):
+        with pytest.raises(PebblingError, match="jobs must be an int >= 1"):
             pebbling_number(path_graph(3), 0, jobs=jobs)
-        with pytest.raises(PebblingError, match="jobs >= 1"):
+        with pytest.raises(PebblingError, match="jobs must be an int >= 1"):
             pebbling_number_graph(path_graph(3), jobs=jobs)
 
 

@@ -135,7 +135,7 @@ def test_divisor_zero_sum_validates_input():
 
 
 def test_zero_sum_rejects_non_positive_input():
-    with pytest.raises(PebblingError, match="need n >= 1"):
+    with pytest.raises(PebblingError, match="n must be an int >= 1, got 0"):
         divisor_zero_sum(0, [])
     for seq in ([0, 1], [1, -2]):
         with pytest.raises(PebblingError, match="entries must be positive"):

@@ -258,13 +258,13 @@ INT_ENTRIES = [
      lambda x: classify_diameter2(cycle_graph(5), jobs=x)),
     ("Graph vertex_count", "vertex count", 1, 2, lambda x: Graph(x, ((0, 1, 2),))),
     ("Graph weight", "edge (0,1) weight", 2, 2, lambda x: Graph(2, ((0, 1, x),))),
-    ("complete_graph n", "size", 1, 2, lambda x: complete_graph(x)),
+    ("complete_graph n", "size", 1, 2, complete_graph),
     ("complete_graph k", "weight", 2, 2, lambda x: complete_graph(1, x)),
-    ("cycle_graph m", "size", 3, 3, lambda x: cycle_graph(x)),
+    ("cycle_graph m", "size", 3, 3, cycle_graph),
     ("cycle_graph k", "weight", 2, 2, lambda x: cycle_graph(3, x)),
-    ("path_graph n", "size", 1, 2, lambda x: path_graph(x)),
+    ("path_graph n", "size", 1, 2, path_graph),
     ("path_graph k", "weight", 2, 2, lambda x: path_graph(1, x)),
-    ("star_graph leaves", "leaves", 1, 2, lambda x: star_graph(x)),
+    ("star_graph leaves", "leaves", 1, 2, star_graph),
     ("star_graph k", "weight", 2, 2, lambda x: star_graph(1, x)),
     ("instar_graph leaves", "leaves", 1, 2, lambda x: instar_graph(x, 2)),
     ("instar_graph k", "edge (1,0) weight", 2, 2, lambda x: instar_graph(1, x)),

@@ -23,7 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .configs import Config, check_config, config_from_pairs, config_to_text, text_records
+from .configs import (
+    Config,
+    check_config,
+    check_int,
+    config_from_pairs,
+    config_to_text,
+    text_records,
+)
 from .errors import PebblingError
 from .graphs import Graph, bfs_distances
 from .solver import Step, _potential, _pre_search, _target, replay
@@ -40,10 +47,8 @@ class PebbleFlow:
     def __post_init__(self):
         check_config(self.config, self.graph.vertex_count)
         for (u, v), count in self.flow.items():
-            if not self.graph.has_edge(u, v):
-                raise PebblingError(f"flow on missing edge ({u},{v})")
-            if count < 0:
-                raise PebblingError(f"negative flow on edge ({u},{v})")
+            self.graph.weight(u, v)
+            check_int(count, 0, "flow count")
 
     def count(self, u: int, v: int) -> int:
         return self.flow.get((u, v), 0)
@@ -169,8 +174,7 @@ def flow_from_text(g: Graph, text: str) -> PebbleFlow:
             pairs.append(fields)
         else:
             u, v, count = fields
-            if count < 0:
-                raise PebblingError(f"negative flow on edge ({u},{v})")
+            check_int(count, 0, "flow count")  # per line: repeated lines add up
             flow[(u, v)] = flow.get((u, v), 0) + count
     return PebbleFlow(g, config_from_pairs(g.vertex_count, pairs), flow)
 

@@ -61,10 +61,16 @@ class Graph:
         return (u, v) in self.weight_map
 
     def weight(self, u: int, v: int) -> int:
-        try:
-            return self.weight_map[(u, v)]
-        except KeyError:
-            raise PebblingError(f"no edge ({u},{v})") from None
+        """The weight of edge (u, v): the one edge check for steps and
+        flows.  An end that is not a vertex (a float or a bool included)
+        fails as ``check_vertices`` words it; two vertices without an edge
+        fail as ``no edge (u,v)``."""
+        if type(u) is int and type(v) is int:  # an equal 1.0 or True finds the key
+            w = self.weight_map.get((u, v))
+            if w is not None:
+                return w
+        check_vertices(self.vertex_count, (u, v), "edge endpoint")
+        raise PebblingError(f"no edge ({u},{v})")
 
     def is_uniform_weight(self, k: int) -> bool:
         return all(w == k for _, _, w in self.edges)
@@ -365,10 +371,10 @@ def pullback_config(h: Homomorphism, c: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def pushforward_steps(h: Homomorphism, steps) -> tuple[tuple[int, int], ...]:
-    """Map each step (u, v) of a source solution to (h(u), h(v))."""
+    """Map each step (u, v) of a source solution to (h(u), h(v)); each
+    step must be a source edge (``Graph.weight``)."""
     for u, v in steps:
-        if not h.source.has_edge(u, v):
-            raise PebblingError(f"step ({u},{v}) is not a source edge")
+        h.source.weight(u, v)
     return tuple((h(u), h(v)) for u, v in steps)
 
 

@@ -176,9 +176,8 @@ def _greedy_steps(g: Graph, c: Config, t: int, n: int) -> tuple[Step, ...] | Non
 
 
 def solvable_quick(g: Graph, c: Config, t: int, n: int) -> bool | None:
-    """Fast decision when the bounds are conclusive, else None."""
-    if c[t] >= n:
-        return True
+    """Fast decision when the bounds are conclusive, else None.  The
+    delivery sum counts c(t) too, at cost 1."""
     rec = _target(g, t)
     if _deliverable(rec, c) >= n:
         return True
@@ -189,12 +188,10 @@ def solvable_quick(g: Graph, c: Config, t: int, n: int) -> bool | None:
 
 def _pre_search(g: Graph, c: Config, t: int, n: int) -> SolveResult | None:
     """The opening of both exact deciders, after checking the instance:
-    solved with no steps when c(t) >= n, unsolvable when the potential is
-    below n, solved by the greedy's steps when it reaches n; None when
-    only a search can tell."""
+    unsolvable when the potential is below n, solved by the greedy's steps
+    when it reaches n (no steps when c(t) >= n already); None when only a
+    search can tell."""
     _check_instance(g, c, t, n)
-    if c[t] >= n:
-        return SolveResult(True, (), c)
     rec = _target(g, t)
     if _potential(rec, c) < n * rec.scale:
         return SolveResult(False)
@@ -357,8 +354,7 @@ def pebbling_number(g: Graph, t: int, n: int = 1, jobs: int = 1) -> PebblingNumb
     p suffices for all larger sizes.
     """
     configs.check_int(n, 1, "n")
-    _check_instance(g, None, t, n)
-    check_reachable(g, t)
+    check_reachable(g, t)  # checks t too, through Graph.cost_to
     # Singleton witnesses cover all sizes up to #V + n - 2.
     p = g.vertex_count + n - 1
     witness = _singleton_witness(g, t, n, p - 1)

@@ -20,7 +20,7 @@ from pebbling.configs import (
     reduced_size,
 )
 from pebbling.errors import PebblingError
-from pebbling.flows import PebbleFlow, flow_from_text, solve_via_flow
+from pebbling.flows import PebbleFlow, flow_from_steps, flow_from_text, solve_via_flow
 from pebbling.formulas import (
     classify_diameter2,
     config_count,
@@ -49,6 +49,7 @@ from pebbling.graphs import (
     least_prime_factor,
     make_family,
     path_graph,
+    pushforward_steps,
     star_graph,
 )
 from pebbling.smv import emit_2pp_model, emit_pebbling_model
@@ -166,6 +167,15 @@ VERTEX_ENTRIES = [
      lambda v: pebbling_construction(path_graph(2), v, [0, 0], _union, [(0, 1)])),
     ("pebbling_construction starts", 2,
      lambda v: pebbling_construction(path_graph(2), 1, [0, v], _union, [])),
+    # every step end and flow key goes through Graph.weight
+    ("apply_step", 3, lambda v: apply_step(path_graph(3), (0, 4, 0), v, 2)),
+    ("replay", 3, lambda v: replay(path_graph(3), (4, 0, 0), [(0, v)])),
+    ("flow_from_steps", 3, lambda v: flow_from_steps(path_graph(3), (0, 4, 0), [(v, 2)])),
+    ("pebbling_construction steps", 2,
+     lambda v: pebbling_construction(path_graph(2), 1, [0, 0], _union, [(0, v)])),
+    ("pushforward_steps", 2,
+     lambda v: pushforward_steps(Homomorphism(path_graph(2), path_graph(2), (0, 1)), [(v, 1)])),
+    ("PebbleFlow", 3, lambda v: PebbleFlow(path_graph(3), (4, 0, 0), {(0, v): 1})),
 ]
 
 
@@ -289,6 +299,8 @@ INT_ENTRIES = [
     ("cycle_weight_functions", "cycle size", 3, 4, lambda x: cycle_weight_functions(x, 0)),
     ("weight_function_from_text vertex_count", "vertex count", 1, 2,
      lambda x: weight_function_from_text("target 0\n", x)),
+    ("PebbleFlow count", "flow count", 0, 1,
+     lambda x: PebbleFlow(path_graph(3), (4, 0, 0), {(0, 1): x})),
 ]
 
 
@@ -325,11 +337,16 @@ def test_integer_that_is_not_an_int_or_too_small_raises_pebbling_error(
         (lambda: erdos_lemke(4, 2.0, [1, 1]), "2.0 is not a divisor of 4"),
         (lambda: erdos_lemke(4, 3, [1, 1, 1]), "3 is not a divisor of 4"),
         (lambda: gcd_zero_sum(2, [1.0, 1]), "entries must be positive ints"),
+        (lambda: apply_step(path_graph(3), (0, 4, 0), True, 2),
+         "edge endpoint True is not a vertex"),
+        (lambda: PebbleFlow(path_graph(3), (4, 0, 0), {(0, 1): 1.5}),
+         "flow count must be an int >= 0"),
         # and each of these ends in a TypeError
         (lambda: pebbling_number(path_graph(3), 0, 1.5), "n must be an int >= 1"),
         (lambda: cycle_graph(3.0), "size must be an int >= 3"),
         (lambda: divisor_zero_sum(2.0, [1, 1]), "n must be an int >= 1"),
         (lambda: bfs_distances(path_graph(3), 1.0), "target 1.0 is not a vertex"),
+        (lambda: apply_step(path_graph(3), (4, 0, 0), 0.0, 1), "edge endpoint 0.0 is not a vertex"),
         # each builder checks its own minimums, which the family table once held
         (lambda: make_family("cycle:2:2"), "size must be an int >= 3, got 2"),
         (lambda: make_family("path:1:1"), "weight must be an int >= 2, got 1"),

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -404,3 +406,27 @@ def test_golden_output_agrees_with_the_library():
     assert tau_oracle(make_family("hypercube:3:4"), 3, 2, 3, 24, 2)
     witness = (0, 1, 2, 0)
     assert all(solve_via_flow(path_graph(4), witness, t, 1) for t in range(4))
+
+
+def _readme_commands():
+    """Each `pebble` line of the README's command block, with its comment."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line.partition("#") for line in block.splitlines() if line.startswith("pebble ")]
+    return [(command.strip(), comment.strip()) for command, _, comment in lines]
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("line, comment", README_COMMANDS, ids=[c[0] for c in README_COMMANDS])
+def test_readme_commands_run(capsys, line, comment):
+    # A bare number in the comment is the first line the command prints.
+    try:
+        code = main(shlex.split(line)[1:])
+    except SystemExit as exc:  # argparse usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    if comment.isdigit():
+        assert out.splitlines()[0] == comment

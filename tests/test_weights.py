@@ -98,7 +98,7 @@ def test_wfl_solve_sound_on_small_graphs():
 
 def test_covering_bound_cycles_match_pi():
     # brute-force pi for small cycles, closed form beyond that
-    for m in range(4, 13):
+    for m in range(3, 13):
         g = cycle_graph(m)
         pi = pi_cycle(m)
         if m <= 7:

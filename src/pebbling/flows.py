@@ -21,6 +21,7 @@ interval, computed once per edge; the search tries only those.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .configs import (
@@ -83,12 +84,11 @@ def is_realized(f: PebbleFlow) -> bool:
 
 
 def flow_from_steps(g: Graph, c: Config, steps) -> PebbleFlow:
-    """Count steps per edge after checking they replay legally from c."""
+    """Count steps per edge, in first-occurrence order, after checking they
+    replay legally from c; ``steps`` may be any iterable of steps."""
+    steps = tuple(steps)
     replay(g, c, steps)
-    flow: FlowMap = {}
-    for step in steps:
-        flow[step] = flow.get(step, 0) + 1
-    return PebbleFlow(g, c, flow)
+    return PebbleFlow(g, c, dict(Counter(steps)))
 
 
 def unidirectional(f: PebbleFlow) -> PebbleFlow:
@@ -184,9 +184,10 @@ def solve_via_flow(g: Graph, c: Config, t: int, n: int) -> PebbleFlow | None:
     none; this decides n-fold t-solvability exactly.
 
     The opening shared with the configuration search
-    (``solver._pre_search``) gives most answers; the complete fallback is
-    depth-first branch and bound over per-edge counts, edges ordered by
-    the head's distance to t and values tried descending.  Two budgets cap
+    (``solver._pre_search``) gives most answers, a solved one as the count
+    per edge of the greedy's steps; the complete fallback is depth-first
+    branch and bound over per-edge counts, edges ordered by the head's
+    distance to t and values tried descending.  Two budgets cap
     the counts: a unit on an edge of weight w loses w - 1 pebbles of the
     |c| - n that can go, and takes the edge's ``drop`` off the potential
     of the ``solver._target`` record, which must end at n * L or more.  A
@@ -204,7 +205,7 @@ def solve_via_flow(g: Graph, c: Config, t: int, n: int) -> PebbleFlow | None:
     """
     opening = _pre_search(g, c, t, n)
     if opening is not None:
-        return flow_from_steps(g, c, opening.witness) if opening else None
+        return PebbleFlow(g, c, dict(Counter(opening.witness))) if opening else None
 
     # The opening answers whenever the potential is below n * L, and the
     # potential is at most |c| * L.  So here both budgets are not negative.

@@ -371,8 +371,9 @@ def pullback_config(h: Homomorphism, c: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def pushforward_steps(h: Homomorphism, steps) -> tuple[tuple[int, int], ...]:
-    """Map each step (u, v) of a source solution to (h(u), h(v)); each
-    step must be a source edge (``Graph.weight``)."""
+    """Map each step (u, v) of a source solution, any iterable of steps, to
+    (h(u), h(v)); each step must be a source edge (``Graph.weight``)."""
+    steps = tuple(steps)
     for u, v in steps:
         h.source.weight(u, v)
     return tuple((h(u), h(v)) for u, v in steps)

@@ -147,19 +147,19 @@ def _potential(rec: _Target, c: Config) -> int:
     return sum(x * w for x, w in zip(c, rec.weight))
 
 
-def _greedy_steps(g: Graph, c: Config, t: int, n: int) -> tuple[Step, ...] | None:
+def _greedy_steps(g: Graph, c: Config, t: int, n: int) -> tuple[tuple[Step, ...], Config] | None:
     """Heuristic witness search: repeatedly take the most expensive vertex
     that can pay for a loss-free edge (cost(u) = weight * cost(head)) and
     fire it toward the cheapest such head (the record's ``moves``).
-    Complete on graphs where concentrating along cheapest paths suffices;
-    else returns None.
+    Complete on graphs where concentrating along cheapest paths suffices.
+    Returns the steps and the tuple they end in once t holds n, else None.
 
     Pebbles only move to cheaper vertices, which come later in the table,
     so one pass over it makes the same steps: each vertex fires each move
     in turn as often as it can pay, and never gains pebbles afterwards."""
     work = list(c)
     if work[t] >= n:
-        return ()
+        return (), tuple(work)
     steps: list[Step] = []
     for u, moves in _target(g, t).moves:
         for v, w in moves:
@@ -171,7 +171,7 @@ def _greedy_steps(g: Graph, c: Config, t: int, n: int) -> tuple[Step, ...] | Non
                 work[v] += k
                 steps += [(u, v)] * k
                 if work[t] >= n:
-                    return tuple(steps)
+                    return tuple(steps), tuple(work)
     return None
 
 
@@ -189,16 +189,14 @@ def solvable_quick(g: Graph, c: Config, t: int, n: int) -> bool | None:
 def _pre_search(g: Graph, c: Config, t: int, n: int) -> SolveResult | None:
     """The opening of both exact deciders, after checking the instance:
     unsolvable when the potential is below n, solved by the greedy's steps
-    when it reaches n (no steps when c(t) >= n already); None when only a
-    search can tell."""
+    and the final configuration it reports when it reaches n (no steps
+    when c(t) >= n already); None when only a search can tell."""
     _check_instance(g, c, t, n)
     rec = _target(g, t)
     if _potential(rec, c) < n * rec.scale:
         return SolveResult(False)
-    steps = _greedy_steps(g, c, t, n)
-    if steps is not None:
-        return SolveResult(True, steps, replay(g, c, steps))
-    return None
+    greedy = _greedy_steps(g, c, t, n)
+    return None if greedy is None else SolveResult(True, *greedy)
 
 
 def is_solvable(g: Graph, c: Config, t: int, n: int) -> SolveResult:

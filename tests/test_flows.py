@@ -46,6 +46,13 @@ def test_excess_is_final_count():
     assert is_feasible(f) and not is_realized(f)
 
 
+def test_flow_from_steps_reads_an_iterator_once():
+    steps = [(0, 1), (0, 1), (1, 2)]
+    f = flow_from_steps(path_graph(3), (4, 0, 0), iter(steps))
+    assert f.flow == {(0, 1): 2, (1, 2): 1}
+    assert f == flow_from_steps(path_graph(3), (4, 0, 0), steps)
+
+
 def test_flow_validation():
     g = path_graph(2)
     with pytest.raises(PebblingError):

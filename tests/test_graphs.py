@@ -161,6 +161,13 @@ def test_pushforward_checks_edges():
         pushforward_steps(h, [(0, 0)])
 
 
+def test_pushforward_reads_an_iterator_once():
+    h = arrow_divisor_hom(6)
+    steps = [(u, v) for u, v, _ in h.source.edges[:3]]
+    assert pushforward_steps(h, iter(steps)) == pushforward_steps(h, steps)
+    assert len(pushforward_steps(h, iter(steps))) == 3
+
+
 def test_star_center_is_vertex_zero():
     g = star_graph(4)
     assert all(g.has_edge(0, v) for v in range(1, 5))

@@ -366,6 +366,17 @@ def test_deep_witness_replays():
     assert replay(g, c, out.witness) == out.final and out.final[2] >= m + 1
 
 
+def test_target_already_full_gives_tuple_final():
+    # c(t) >= n before any step: no steps, and the final configuration is
+    # a tuple even when c is given as a list.
+    g = path_graph(3)
+    c = [0, 1, 3]
+    assert _greedy_steps(g, c, 2, 3) == ((), (0, 1, 3))
+    out = is_solvable(g, c, 2, 3)
+    assert out == solver.SolveResult(True, (), (0, 1, 3))
+    assert type(out.final) is tuple
+
+
 def test_deep_search_without_greedy_replays():
     # The greedy stalls with 2 pebbles on vertex 2; the search then takes
     # one lossy step (2, 1) and needs 1202 steps in all, past the
@@ -521,9 +532,10 @@ def undecided_instances(draw):
 @given(undecided_instances())
 def test_greedy_replays_and_deciders_agree(instance):
     g, c, t, n = instance
-    steps = _greedy_steps(g, c, t, n)
-    if steps is not None:
-        assert replay(g, c, steps)[t] >= n
+    greedy = _greedy_steps(g, c, t, n)
+    if greedy is not None:
+        steps, final = greedy
+        assert final == replay(g, c, steps) and final[t] >= n
     out = is_solvable(g, c, t, n)
     assert out.solvable == (solve_via_flow(g, c, t, n) is not None)
     if out.solvable:
@@ -550,6 +562,7 @@ def deliverable_instances(draw):
 @given(deliverable_instances())
 def test_greedy_does_no_worse_than_independent_delivery(instance):
     g, c, t, n = instance
-    steps = _greedy_steps(g, c, t, n)
-    assert steps is not None
+    greedy = _greedy_steps(g, c, t, n)
+    assert greedy is not None
+    steps, _ = greedy
     assert replay(g, c, steps)[t] >= n

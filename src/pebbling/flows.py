@@ -47,6 +47,8 @@ class PebbleFlow:
 
     def __post_init__(self):
         check_config(self.config, self.graph.vertex_count)
+        # kept as a tuple, so a list and a tuple give equal flows
+        object.__setattr__(self, "config", tuple(self.config))
         for (u, v), count in self.flow.items():
             self.graph.weight(u, v)
             check_int(count, 0, "flow count")
@@ -111,9 +113,10 @@ def realize(g: Graph, f: PebbleFlow) -> tuple[tuple[Step, ...], Config]:
     lowest-id such vertex fires its minimum (weight, head) remaining
     outflow edge.  Every fired step keeps the excess (with respect to the
     remaining flow) unchanged, and cyclic remainders are simply never
-    fired.  A step costs O(V): the remaining in- and outflow counts, the
-    out-edges still to fire (largest (weight, head) first, so the next is
-    last) and the number of vertices below their excess are kept as state.
+    fired.  A step costs O(V): kept as state are the remaining in- and
+    outflow counts, the number of vertices below their excess and, per
+    vertex, rows [weight, head, count left] of the out-edges still to
+    fire, largest first so the next is last.
     """
     if f.graph is not g:
         f = PebbleFlow(g, f.config, f.flow)
@@ -122,14 +125,14 @@ def realize(g: Graph, f: PebbleFlow) -> tuple[tuple[Step, ...], Config]:
         raise PebblingError("cannot realize an infeasible flow")
     nv = g.vertex_count
     work = list(f.config)
-    remaining = {e: count for e, count in f.flow.items() if count}
     inflow = [0] * nv
     outflow = [0] * nv
-    outs: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    for (u, v), count in remaining.items():
-        outflow[u] += count
-        inflow[v] += count
-        outs[u].append((g.weight(u, v), v))
+    outs: list[list[list[int]]] = [[] for _ in range(nv)]
+    for (u, v), count in f.flow.items():
+        if count:
+            outflow[u] += count
+            inflow[v] += count
+            outs[u].append([g.weight(u, v), v, count])
     for row in outs:
         row.sort(reverse=True)
     below = sum(1 for w, x in zip(work, target_excess) if w < x)
@@ -138,7 +141,8 @@ def realize(g: Graph, f: PebbleFlow) -> tuple[tuple[Step, ...], Config]:
         u = next((w for w in range(nv) if inflow[w] < outflow[w]), None)
         if u is None:
             raise PebblingError("no fireable vertex found; flow inconsistent")
-        wt, v = outs[u][-1]
+        row = outs[u][-1]
+        wt, v, _ = row
         if work[u] < wt:
             raise PebblingError("flow is not realizable step by step")
         for x, delta in ((u, -wt), (v, 1)):
@@ -147,8 +151,8 @@ def realize(g: Graph, f: PebbleFlow) -> tuple[tuple[Step, ...], Config]:
             below += work[x] < target_excess[x]
         outflow[u] -= 1
         inflow[v] -= 1
-        remaining[(u, v)] -= 1
-        if not remaining[(u, v)]:
+        row[2] -= 1
+        if not row[2]:
             outs[u].pop()
         steps.append((u, v))
     return tuple(steps), tuple(work)
@@ -193,9 +197,10 @@ def solve_via_flow(g: Graph, c: Config, t: int, n: int) -> PebbleFlow | None:
     of the ``solver._target`` record, which must end at n * L or more.  A
     partial assignment is cut when some vertex cannot end with its need
     (n at t, 0 elsewhere) even if every open edge into it took its cap, or
-    took all the pebbles still allowed to go.  Both cuts only drop
-    subtrees without a feasible leaf, so the first leaf found, the
-    returned flow, does not depend on them.
+    took all the pebbles still allowed to go; what the opening leaves
+    never cuts the empty assignment.  Both cuts only drop subtrees
+    without a feasible leaf, so the first leaf found, the returned flow,
+    does not depend on them.
 
     The cut is monotone in the count x of the edge (u, v, w) being
     opened: only u, v and the pebbles spent move with x.  So the counts
@@ -231,19 +236,21 @@ def solve_via_flow(g: Graph, c: Config, t: int, n: int) -> PebbleFlow | None:
     # can end with its need exactly when slack + min(open caps, pebbles
     # still allowed to go) >= 0, that is when reach >= 0 and
     # slack >= spent - budget.  Each edge's interval assumes this holds
-    # before its count is set, so the empty assignment is checked here.
-    # Then edges[0] exists: without an edge reach[t] = c(t) - n < 0.
+    # before its count is set; the opening makes it hold for the empty
+    # assignment.  Let m be the least cost of a vertex other than t: the
+    # potential bound n * L gives |c| - c(t) >= m (n - c(t)), and that
+    # vertex's edge into t has drop 0 and cap budget // (m - 1) >=
+    # n - c(t) >= 1.  So every reach is >= 0, every slack is >= -budget,
+    # and edges is not empty.
     slack = list(c)
     slack[t] -= n
     reach = slack[:]
     for _, v, _, _, cap in edges:
         reach[v] += cap
-    if min(reach) < 0 or min(slack) < -budget:
-        return None
 
-    # Depth-first over the edges in order with an explicit stack:
-    # assignment holds the values of edges[:i].  Opening edge
-    # i = (u, v, w) takes its cap out of reach[v].  A count x then passes
+    # Depth-first over the edges in order with an explicit stack: the
+    # edge being opened is edges[len(assignment)].  Opening it,
+    # (u, v, w), takes its cap out of reach[v].  A count x then passes
     # when, with room = budget - spent:
     #   reach[u] - w x >= 0 and slack[u] - w x >= spent + (w - 1) x - budget;
     #   reach[v] + x >= 0 and slack[v] + x >= spent + (w - 1) x - budget;
@@ -253,9 +260,9 @@ def solve_via_flow(g: Graph, c: Config, t: int, n: int) -> PebbleFlow | None:
     # conditions held before, so when reach[u] < w the interval is [0, 0]
     # or empty, with no other bound to compute.
     assignment: list[int] = []
-    i = spent = pot_spent = 0
-    while True:
-        u, v, w, drop, cap = edges[i]
+    spent = pot_spent = 0
+    while len(assignment) < len(edges):
+        u, v, w, drop, cap = edges[len(assignment)]
         reach[v] -= cap
         lo = -reach[v] if reach[v] < 0 else 0
         hi = reach[u] // w
@@ -277,13 +284,12 @@ def solve_via_flow(g: Graph, c: Config, t: int, n: int) -> PebbleFlow | None:
                 hi = min(hi, (pot_budget - pot_spent) // drop)
         value = hi
         while value < lo:
-            # Edge i is exhausted: reopen it, back up to edge i - 1.
+            # This edge is exhausted: reopen it, back up to the one before.
             reach[v] += cap
-            if i == 0:
+            if not assignment:
                 return None
-            i -= 1
-            u, v, w, drop, cap = edges[i]
             value = assignment.pop()
+            u, v, w, drop, cap = edges[len(assignment)]
             if value:
                 slack[v] -= value
                 reach[v] -= value
@@ -301,9 +307,6 @@ def solve_via_flow(g: Graph, c: Config, t: int, n: int) -> PebbleFlow | None:
             spent += (w - 1) * value
             pot_spent += drop * value
         assignment.append(value)
-        i += 1
-        if i == len(edges):
-            break
     flow = {
         (u, v): count
         for (u, v, _, _, _), count in zip(edges, assignment)

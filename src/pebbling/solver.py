@@ -204,7 +204,8 @@ def is_solvable(g: Graph, c: Config, t: int, n: int) -> SolveResult:
 
     The shared opening (``_pre_search``) answers first when it can;
     otherwise steps are explored in (from, to) sorted edge order, so the
-    first witness found is deterministic.
+    first witness found, read off the stack with one step per frame, is
+    deterministic.
     """
     opening = _pre_search(g, c, t, n)
     if opening is not None:
@@ -214,16 +215,15 @@ def is_solvable(g: Graph, c: Config, t: int, n: int) -> SolveResult:
     bound = n * rec.scale
     failed: set[Config] = set()
     # Depth-first over steps in edge order with an explicit stack of
-    # [configuration, potential, next edge index]; path holds the steps
-    # from c to the top frame.  A step the potential prunes is skipped
-    # before its child is built; a configuration whose subtree fails
-    # joins ``failed``.
-    stack = [[c, _potential(rec, c), 0]]
-    path: list[Step] = []
+    # [configuration, potential, next edge index, step that made it]; the
+    # steps of the frames above the root lead from c to the top frame.  A
+    # step the potential prunes is skipped before its child is built; a
+    # configuration whose subtree fails joins ``failed``.
+    stack = [[c, _potential(rec, c), 0, None]]
     m = len(edges)
     while stack:
         frame = stack[-1]
-        conf, pot, i = frame
+        conf, pot, i, _ = frame
         while i < m:
             u, v, w, drop = edges[i]
             i += 1
@@ -235,16 +235,14 @@ def is_solvable(g: Graph, c: Config, t: int, n: int) -> SolveResult:
             nxt = tuple(nxt)
             if nxt in failed:
                 continue
-            path.append((u, v))
             if nxt[t] >= n:
-                return SolveResult(True, tuple(path), nxt)
+                return SolveResult(True, tuple(f[3] for f in stack[1:]) + ((u, v),), nxt)
             frame[2] = i
-            stack.append([nxt, pot - drop, 0])
+            stack.append([nxt, pot - drop, 0, (u, v)])
             break
         else:
             stack.pop()
-            if path:
-                path.pop()
+            if stack:
                 failed.add(conf)
     return SolveResult(False)
 
@@ -283,8 +281,9 @@ def _singleton_witness(g: Graph, t: int, n: int, p: int) -> Config | None:
 
 
 def _structured_witness(g: Graph, t: int, n: int, p: int) -> Config | None:
-    """Cheap scan of classically extremal shapes: all configurations with
-    support at most two, and singleton paddings of concentrated stacks."""
+    """Cheap scan of classically extremal shapes: the size-p
+    configurations with support at most two, each whole stack first, then
+    each split of p over a pair of vertices."""
     nv = g.vertex_count
     for v in range(nv):
         counts = [0] * nv

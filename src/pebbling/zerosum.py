@@ -29,6 +29,8 @@ def zero_sum_mod(seq: list[int], n: int) -> IndexSet:
     check_int(n, 1, "modulus")
     if len(seq) < n:
         raise PebblingError(f"need at least {n} entries, got {len(seq)}")
+    if not set(map(type, seq)) <= {int}:
+        raise PebblingError("entries must be ints")
     seen: dict[int, int] = {0: 0}
     prefix = 0
     for j in range(1, n + 1):
@@ -49,11 +51,12 @@ def pebbling_construction(
 ) -> IndexSet:
     """Replay a pebbling solution with payload-carrying pebbles.
 
-    Index i (1-based) starts at vertex ``starts[i - 1]``; each step of
-    weight k pops k index sets (FIFO) from its source and pushes
-    ``combiner(u, v, sets)`` -- a non-empty subset of their union -- onto
-    its head.  Returns the front payload at the target.  The target and
-    every start must be vertices of g.  Each payload is checked
+    Index i (1-based) starts at vertex ``starts[i - 1]`` (``starts`` may
+    be any iterable, read once); each step of weight k pops k index sets
+    (FIFO) from its source and pushes ``combiner(u, v, sets)`` -- a
+    non-empty subset of their union -- onto its head.  Returns the front
+    payload at the target.  The target and every start must be vertices
+    of g.  Each payload is checked
     once, as it is placed (with ``well_placed``, when given): the start
     payloads are distinct singletons, a merged set lies inside what its
     step popped, and no step touches any other payload, so the sets stay
@@ -61,6 +64,7 @@ def pebbling_construction(
     """
     nv = g.vertex_count
     check_vertices(nv, (t,), "target")
+    starts = tuple(starts)
     check_vertices(nv, starts, "start")
     queues: list[deque[IndexSet]] = [deque() for _ in range(nv)]
     for i, v in enumerate(starts, 1):

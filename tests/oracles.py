@@ -41,15 +41,6 @@ def tree_children(g: Graph, r: int) -> dict[int, list[int]]:
     return children
 
 
-def tree_deliverable(g: Graph, r: int, k: int, c) -> int:
-    children = tree_children(g, r)
-
-    def walk(v: int) -> int:
-        return c[v] + sum(walk(ch) // k for ch in children[v])
-
-    return walk(r)
-
-
 def tree_pi_oracle(g: Graph, r: int, k: int, n: int) -> int:
     """pi_n(tree, r) = 1 + max size of a configuration whose deliverable
     count at r is at most n - 1."""
@@ -171,13 +162,6 @@ def all_path_partition_sizes(g: Graph, r: int):
 def max_extractable_blocks(c, k: int) -> int:
     """Blocks of k pebbles each taken from a single vertex."""
     return sum(x // k for x in c)
-
-
-def subset_sum_exists(values, target: int) -> bool:
-    reachable = {0}
-    for v in values:
-        reachable |= {s + v for s in reachable if s + v <= target}
-    return target in reachable
 
 
 def zero_mod_subset_exists(values, n: int) -> bool:

@@ -49,8 +49,10 @@ from pebbling.graphs import (
     least_prime_factor,
     make_family,
     path_graph,
+    pullback_config,
     pushforward_steps,
     star_graph,
+    validate_homomorphism,
 )
 from pebbling.smv import emit_2pp_model, emit_pebbling_model
 from pebbling.solver import (
@@ -115,12 +117,32 @@ def _steps_file(tmp_path, text):
         (lambda tmp: make_family("arrow"), "arrow takes 1 argument, got 'arrow'"),
         (lambda tmp: make_family("petersen:3"),
          "petersen takes 0 arguments, got 'petersen:3'"),
+        (lambda tmp: make_family("cycle:a:2"), "bad size: 'a'"),
+        # one row per input check that no other test reaches
+        (lambda tmp: extract_single_block((3, 0), 1, 2), "block size n must not exceed k"),
+        (lambda tmp: config_from_json('{"a": 1}', 2), "JSON configuration must be a list"),
+        (lambda tmp: pi_tree(Graph(4, complete_graph(3).edges), 0),
+         "tree skeleton must be connected"),
+        (lambda tmp: pi_grid([]), "grid needs at least one dimension"),
+        (lambda tmp: grid_graph([]), "grid needs at least one dimension"),
+        (lambda tmp: Homomorphism(path_graph(3), path_graph(3), (0, 1)),
+         "mapping must cover every source vertex"),
+        (lambda tmp: pullback_config(Homomorphism(path_graph(2), path_graph(3), (0, 1)), (1, 1, 1)),
+         "pullback needs a surjective homomorphism"),
+        (lambda tmp: WeightFunction(0, (0, -1)), "weights must be non-negative"),
+        (lambda tmp: wfl_solve(path_graph(3), WeightFunction(0, (0, 0, 1)), (0, 0, 4)),
+         "invalid weight function"),
     ],
 )
 def test_bad_input_raises_pebbling_error(tmp_path, call, message):
     with pytest.raises(PebblingError) as info:
         call(tmp_path)
     assert message in str(info.value)
+
+
+def test_homomorphism_with_a_weight_mismatch_is_not_valid():
+    # The edge 0 -> 1 has weight 2 in the source and 3 in the target.
+    assert not validate_homomorphism(Homomorphism(path_graph(2), path_graph(2, 3), (0, 1)))
 
 
 def test_negative_pebble_count_is_rejected():
@@ -337,6 +359,9 @@ def test_integer_that_is_not_an_int_or_too_small_raises_pebbling_error(
         (lambda: erdos_lemke(4, 2.0, [1, 1]), "2.0 is not a divisor of 4"),
         (lambda: erdos_lemke(4, 3, [1, 1, 1]), "3 is not a divisor of 4"),
         (lambda: gcd_zero_sum(2, [1.0, 1]), "entries must be positive ints"),
+        (lambda: zero_sum_mod([True, True, True], 3), "entries must be ints"),
+        # an AssertionError from the pigeonhole
+        (lambda: zero_sum_mod([0.5, 0.5, 0.5], 3), "entries must be ints"),
         (lambda: apply_step(path_graph(3), (0, 4, 0), True, 2),
          "edge endpoint True is not a vertex"),
         (lambda: PebbleFlow(path_graph(3), (4, 0, 0), {(0, 1): 1.5}),
@@ -347,6 +372,8 @@ def test_integer_that_is_not_an_int_or_too_small_raises_pebbling_error(
         (lambda: divisor_zero_sum(2.0, [1, 1]), "n must be an int >= 1"),
         (lambda: bfs_distances(path_graph(3), 1.0), "target 1.0 is not a vertex"),
         (lambda: apply_step(path_graph(3), (4, 0, 0), 0.0, 1), "edge endpoint 0.0 is not a vertex"),
+        (lambda: zero_sum_mod(["a", 1, 2], 3), "entries must be ints"),
+        (lambda: zero_sum_mod([None, 1, 2], 3), "entries must be ints"),
         # each builder checks its own minimums, which the family table once held
         (lambda: make_family("cycle:2:2"), "size must be an int >= 3, got 2"),
         (lambda: make_family("path:1:1"), "weight must be an int >= 2, got 1"),
@@ -356,6 +383,22 @@ def test_integer_that_is_not_an_int_or_too_small_raises_pebbling_error(
 def test_answers_and_tracebacks_from_bad_integers_are_pebbling_errors(call, message):
     with pytest.raises(PebblingError, match=f"^{re.escape(message)}"):
         call()
+
+
+def test_zero_sum_mod_takes_any_int():
+    assert zero_sum_mod([-1, 0, 5], 3) == frozenset({2})
+    assert zero_sum_mod([-2, 5, 7, 9], 3) == frozenset({1, 2})
+
+
+def test_one_shot_starts_are_read_once():
+    starts = (v for v in [0, 0])
+    assert pebbling_construction(path_graph(2), 1, starts, _union, [(0, 1)]) == {1, 2}
+
+
+def test_flows_from_a_list_and_a_tuple_are_equal():
+    g = path_graph(3)
+    assert solve_via_flow(g, [4, 0, 0], 2, 1) == solve_via_flow(g, (4, 0, 0), 2, 1)
+    assert PebbleFlow(g, [4, 0, 0], {}).config == (4, 0, 0)
 
 
 @pytest.mark.parametrize(

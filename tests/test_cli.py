@@ -408,10 +408,12 @@ def test_golden_output_agrees_with_the_library():
     assert all(solve_via_flow(path_graph(4), witness, t, 1) for t in range(4))
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def _readme_commands():
     """Each `pebble` line of the README's command block, with its comment."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```")[1]
+    block = README.split("## Command line", 1)[1].split("```")[1]
     lines = [line.partition("#") for line in block.splitlines() if line.startswith("pebble ")]
     return [(command.strip(), comment.strip()) for command, _, comment in lines]
 
@@ -430,3 +432,14 @@ def test_readme_commands_run(capsys, line, comment):
     assert code == 0, err
     if comment.isdigit():
         assert out.splitlines()[0] == comment
+
+
+def test_readme_library_block_runs():
+    # The block's comments: pi(C7) = 11, and 11 pebbles on vertex 3 reach
+    # vertex 0 in 8 steps that end with a pebble there.
+    block = README.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    names: dict = {}
+    exec(block, names)
+    assert names["out"].value == 11
+    assert len(names["steps"]) == 8 and names["final"][0] == 1
+    assert names["lp_bound"](names["g"], 0, names["ws"]) == 11

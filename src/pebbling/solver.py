@@ -204,7 +204,7 @@ def is_solvable(g: Graph, c: Config, t: int, n: int) -> SolveResult:
 
     The shared opening (``_pre_search``) answers first when it can;
     otherwise steps are explored in (from, to) sorted edge order, so the
-    first witness found, read off the stack with one step per frame, is
+    first witness found, read off the stack's frames above the root, is
     deterministic.
     """
     opening = _pre_search(g, c, t, n)

@@ -117,8 +117,8 @@ def _steps_file(tmp_path, text):
         (lambda tmp: make_family("arrow"), "arrow takes 1 argument, got 'arrow'"),
         (lambda tmp: make_family("petersen:3"),
          "petersen takes 0 arguments, got 'petersen:3'"),
+        # one row for each input check that no other test reaches
         (lambda tmp: make_family("cycle:a:2"), "bad size: 'a'"),
-        # one row per input check that no other test reaches
         (lambda tmp: extract_single_block((3, 0), 1, 2), "block size n must not exceed k"),
         (lambda tmp: config_from_json('{"a": 1}', 2), "JSON configuration must be a list"),
         (lambda tmp: pi_tree(Graph(4, complete_graph(3).edges), 0),

@@ -78,7 +78,7 @@ def _emit(args, result, witness=None, steps=None) -> None:
 
 def _parse_seq(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise PebblingError(f"malformed integer sequence: {text!r}") from exc
 

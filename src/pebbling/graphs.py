@@ -314,6 +314,8 @@ class Homomorphism:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
+        # kept as a tuple, so a list and a tuple give equal, hashable maps
+        object.__setattr__(self, "mapping", tuple(self.mapping))
         if len(self.mapping) != self.source.vertex_count:
             raise PebblingError("mapping must cover every source vertex")
         check_vertices(self.target.vertex_count, self.mapping, "image")

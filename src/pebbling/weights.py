@@ -40,6 +40,8 @@ class WeightFunction:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
+        # kept as a tuple, so a list and a tuple give equal, hashable functions
+        object.__setattr__(self, "weights", tuple(self.weights))
         _require_exact(self.weights)
         if any(w < 0 for w in self.weights):
             raise PebblingError("weights must be non-negative")

@@ -6,13 +6,15 @@ combiner merges the payloads consumed by each step, and each payload is
 checked once, as it is placed.  Instantiated on the divisor lattice of n
 this turns solvability of size-n configurations into explicit zero-sum
 subsequences: subsets of divisors summing exactly to n, the gcd-weighted
-variant, and the general divisors-of-n statement.
+variant, and the general divisors-of-n statement.  When every entry
+divides n the gcd construction is the divisor construction (the proof is
+in ``gcd_zero_sum``), so it takes that cheaper path.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
+from itertools import repeat, takewhile
 from math import gcd
 
 from .configs import check_int, check_vertices
@@ -27,6 +29,7 @@ def zero_sum_mod(seq: list[int], n: int) -> IndexSet:
     """Non-empty contiguous 1-based index range of the first n entries
     whose sum is divisible by n, found by the prefix-sum pigeonhole."""
     check_int(n, 1, "modulus")
+    seq = tuple(seq)
     if len(seq) < n:
         raise PebblingError(f"need at least {n} entries, got {len(seq)}")
     if not set(map(type, seq)) <= {int}:
@@ -60,26 +63,33 @@ def pebbling_construction(
     once, as it is placed (with ``well_placed``, when given): the start
     payloads are distinct singletons, a merged set lies inside what its
     step popped, and no step touches any other payload, so the sets stay
-    non-empty and disjoint.
+    non-empty and disjoint.  Each vertex's queue is a list read from a
+    head index, so a step takes its k payloads as one slice.
     """
     nv = g.vertex_count
     check_vertices(nv, (t,), "target")
     starts = tuple(starts)
     check_vertices(nv, starts, "start")
-    queues: list[deque[IndexSet]] = [deque() for _ in range(nv)]
-    for i, v in enumerate(starts, 1):
-        s = frozenset((i,))
-        if well_placed is not None and not well_placed(v, s):
-            raise _misplaced(v, s)
+    singles = list(map(frozenset, zip(range(1, len(starts) + 1))))
+    if well_placed is not None:
+        # takewhile stops at the first failure: each start is checked
+        # once, in index order, and none after a failure.
+        placed = len(list(takewhile(bool, map(well_placed, starts, singles))))
+        if placed < len(starts):
+            raise _misplaced(starts[placed], singles[placed])
+    queues: list[list[IndexSet]] = [[] for _ in range(nv)]
+    for v, s in zip(starts, singles):
         queues[v].append(s)
+    heads = [0] * nv
     for u, v in steps:
         w = g.weight(u, v)
-        queue = queues[u]
-        if len(queue) < w:
+        head = heads[u]
+        popped = queues[u][head : head + w]
+        if len(popped) < w:
             raise PebblingError(
-                f"step ({u},{v}) needs {w} pebbles, vertex has {len(queue)}"
+                f"step ({u},{v}) needs {w} pebbles, vertex has {len(popped)}"
             )
-        popped = [queue.popleft() for _ in range(w)]
+        heads[u] = head + w
         merged = frozenset(combiner(u, v, popped))
         if not merged or not merged <= frozenset().union(*popped):
             raise PebblingError(
@@ -88,9 +98,9 @@ def pebbling_construction(
         if well_placed is not None and not well_placed(v, merged):
             raise _misplaced(v, merged)
         queues[v].append(merged)
-    if not queues[t]:
+    if heads[t] == len(queues[t]):
         raise PebblingError("steps do not deliver a pebble to the target")
-    return queues[t][0]
+    return queues[t][heads[t]]
 
 
 def _misplaced(v: int, s: IndexSet) -> PebblingError:
@@ -136,6 +146,7 @@ def divisor_zero_sum(n: int, divisors: list[int]) -> IndexSet:
     reaching vertex n sums to n.
     """
     check_int(n, 1, "n")
+    divisors = tuple(divisors)
     if len(divisors) != n:
         raise PebblingError(f"need exactly {n} divisors, got {len(divisors)}")
     _require_divisors(n, divisors)
@@ -163,13 +174,29 @@ def gcd_zero_sum(n: int, seq: list[int]) -> IndexSet:
     payload sums to a multiple x_i of d with gcd-sum at most d; a zero-sum
     of the ratios x_i/d modulo p selects payloads whose union sums to a
     multiple of p*d with gcd-sum at most p*d.
+
+    When every entry divides n (gcd(n, a_i) == a_i entry by entry) this
+    returns ``divisor_zero_sum(n, seq)``, which is the same subset:
+
+    - A payload's gcd-sum is then its sum, so the check at vertex d
+      (d divides the sum and the gcd-sum is at most d) holds exactly when
+      the sum equals d, which is the divisor check.
+    - At an edge (d, p*d) each of the p popped ratios is therefore 1.
+      Their prefix sums mod p are 1, ..., p-1, 0, so ``zero_sum_mod``
+      picks all p, and the merged payload is their union, as in the
+      divisor combiner.
+    - The lattice, the starts and the steps are the same, so the subset
+      is the same.
     """
     check_int(n, 1, "n")
+    seq = tuple(seq)
     if len(seq) != n:
         raise PebblingError(f"need exactly {n} entries, got {len(seq)}")
     if not set(map(type, seq)) <= {int} or min(seq) < 1:
         raise PebblingError("entries must be positive ints")
-    gcds = [gcd(n, a) for a in seq]
+    gcds = tuple(map(gcd, repeat(n), seq))
+    if gcds == seq:
+        return divisor_zero_sum(n, seq)
     g, verts, t, steps = _lattice_solution(n, gcds)
     at = (0, *seq).__getitem__  # 1-based
     gcd_at = (0, *gcds).__getitem__
@@ -196,9 +223,15 @@ def gcd_zero_sum(n: int, seq: list[int]) -> IndexSet:
 
 def erdos_lemke(n: int, d: int, seq: list[int]) -> IndexSet:
     """Non-empty subset of d divisors of n (d | n) with sum divisible by d
-    and sum at most n."""
+    and sum at most n.
+
+    This is ``gcd_zero_sum(d, seq)``.  When every entry also divides d
+    (always at d = n) that is the divisor construction, and the subset
+    sums to exactly d.
+    """
     check_int(n, 1, "n")
     _require_divisors(n, (d,))
+    seq = tuple(seq)
     if len(seq) != d:
         raise PebblingError(f"need exactly {d} entries, got {len(seq)}")
     _require_divisors(n, seq)

@@ -4,7 +4,10 @@ Everything here is deliberately written against a different formulation
 than the code under test: the tree pebbling-number oracle works through a
 deliverability DP instead of path partitions or configuration search, the
 extractor and subset-sum helpers are plain brute force, and the model-text
-evaluator interprets the emitted transition relation explicitly.
+evaluator interprets the emitted transition relation explicitly.  The
+plain-loop versions of optimised routines (``realize_oracle``,
+``solve_via_flow_oracle``, the zero-sum replay) are the formulations the
+package was optimised from, kept to check that it returns the same.
 """
 
 from __future__ import annotations
@@ -458,3 +461,97 @@ def solve_via_flow_oracle(g: Graph, c, t: int, n: int):
             value = min(value, (pot_budget - pot_spent) // drop)
     flow = {(u, v): k for (u, v, _, _), k in zip(edges, assignment) if k}
     return PebbleFlow(g, c, flow)
+
+
+# ---------------------------------------------------------------------------
+# The zero-sum replay and the gcd construction, as first written.
+#
+# ``pebbling_construction_oracle`` keeps each vertex's queue as a deque and
+# pops one payload at a time, checking every start in a Python loop.
+# ``gcd_zero_sum_oracle`` runs the general gcd construction (zero-sum
+# search mod p at every step) on every input, divisor inputs included,
+# where the package hands divisor inputs to the divisor construction.
+
+
+def pebbling_construction_oracle(
+    g: Graph,
+    t: int,
+    starts,
+    combiner,
+    steps,
+    well_placed=None,
+):
+    from collections import deque
+
+    from pebbling.configs import check_vertices
+    from pebbling.errors import PebblingError
+
+    def _misplaced(v, s):
+        return PebblingError(f"payload at vertex {v} is not well-placed: {sorted(s)}")
+
+    nv = g.vertex_count
+    check_vertices(nv, (t,), "target")
+    starts = tuple(starts)
+    check_vertices(nv, starts, "start")
+    queues = [deque() for _ in range(nv)]
+    for i, v in enumerate(starts, 1):
+        s = frozenset((i,))
+        if well_placed is not None and not well_placed(v, s):
+            raise _misplaced(v, s)
+        queues[v].append(s)
+    for u, v in steps:
+        w = g.weight(u, v)
+        queue = queues[u]
+        if len(queue) < w:
+            raise PebblingError(
+                f"step ({u},{v}) needs {w} pebbles, vertex has {len(queue)}"
+            )
+        popped = [queue.popleft() for _ in range(w)]
+        merged = frozenset(combiner(u, v, popped))
+        if not merged or not merged <= frozenset().union(*popped):
+            raise PebblingError(
+                "combiner must return a non-empty subset of the popped union"
+            )
+        if well_placed is not None and not well_placed(v, merged):
+            raise _misplaced(v, merged)
+        queues[v].append(merged)
+    if not queues[t]:
+        raise PebblingError("steps do not deliver a pebble to the target")
+    return queues[t][0]
+
+
+def gcd_zero_sum_oracle(n: int, seq):
+    from math import gcd
+
+    from pebbling.configs import check_int
+    from pebbling.errors import PebblingError
+    from pebbling.zerosum import _lattice_solution, zero_sum_mod
+
+    check_int(n, 1, "n")
+    if len(seq) != n:
+        raise PebblingError(f"need exactly {n} entries, got {len(seq)}")
+    if not set(map(type, seq)) <= {int} or min(seq) < 1:
+        raise PebblingError("entries must be positive ints")
+    gcds = [gcd(n, a) for a in seq]
+    g, verts, t, steps = _lattice_solution(n, gcds)
+    at = (0, *seq).__getitem__  # 1-based
+    gcd_at = (0, *gcds).__getitem__
+    labels = g.labels
+    totals = {}  # each placed payload's sum
+
+    def combiner(u, v, sets):
+        d = labels[u]
+        chosen = zero_sum_mod([totals[s] // d for s in sets], labels[v] // d)
+        return frozenset().union(*(sets[i - 1] for i in chosen))
+
+    def well_placed(v, s):
+        d = labels[v]
+        total = totals[s] = sum(map(at, s))
+        return total % d == 0 and sum(map(gcd_at, s)) <= d
+
+    out = pebbling_construction_oracle(g, t, verts, combiner, steps, well_placed)
+    if sum(map(at, out)) % n != 0:
+        raise AssertionError("constructed subset sum is not divisible by n")
+    if sum(map(gcd_at, out)) > n:
+        raise AssertionError("constructed subset gcd-sum exceeds n")
+    return out

@@ -297,6 +297,9 @@ TAU = ["--n", "1", "--k", "2", "--p", "3", "--m-max", "1"]
         ["pi", "--family", "path:3:2 x x cycle:3:2", "--target", "0"],
         # a target that some vertex cannot reach
         ["2pp", "--family", "arrow:2", "--pi", "2"],
+        # an empty --seq field, once read as no entry
+        ["zerosum", "--n", "3", "--seq", "1,,1,1"],
+        ["zerosum", "--n", "3", "--seq", ",1,1,1,"],
     ],
 )
 def test_malformed_input_gives_one_error_line(capsys, argv):

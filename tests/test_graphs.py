@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from pebbling.errors import PebblingError
 from pebbling.graphs import (
     Graph,
+    Homomorphism,
     arrow_divisor_hom,
     arrow_graph,
     cartesian_product,
@@ -181,3 +182,10 @@ def test_cycle_cost_symmetry(m, k):
     assert cost[0] == 1
     for i in range(1, m):
         assert cost[i] == cost[m - i] == k ** min(i, m - i)
+
+
+def test_homomorphism_from_a_list_equals_one_from_a_tuple():
+    a = Homomorphism(path_graph(2), path_graph(2), [0, 1])
+    b = Homomorphism(path_graph(2), path_graph(2), (0, 1))
+    assert a.mapping == (0, 1)
+    assert a == b and hash(a) == hash(b)

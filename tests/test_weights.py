@@ -334,3 +334,9 @@ def test_weight_text_round_trip():
         weight_function_from_text("target 0\ntarget 1\nw 1 1\n", 2)
     with pytest.raises(PebblingError, match="repeated 'w 1'"):
         weight_function_from_text("target 0\nw 1 1\nw 1 3\n", 2)
+
+
+def test_weight_function_from_a_list_equals_one_from_a_tuple():
+    a, b = WeightFunction(0, [0, 1]), WeightFunction(0, (0, 1))
+    assert a.weights == (0, 1)
+    assert a == b and hash(a) == hash(b)

@@ -4,9 +4,10 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pebbling.errors import PebblingError
-from pebbling.graphs import path_graph
+from pebbling.graphs import Graph, path_graph
 from pebbling.zerosum import (
     divisor_zero_sum,
     erdos_lemke,
@@ -14,7 +15,12 @@ from pebbling.zerosum import (
     pebbling_construction,
     zero_sum_mod,
 )
-from oracles import zero_mod_subset_exists
+from oracles import (
+    gcd_zero_sum_oracle,
+    pebbling_construction_oracle,
+    random_legal_steps,
+    zero_mod_subset_exists,
+)
 
 
 def divisors_of(n):
@@ -219,4 +225,124 @@ def test_zero_sum_golden():
     assert len(results) == 461
     assert hashlib.sha256(repr(results).encode()).hexdigest() == (
         "5d7333e6903c86d0fc9e66d534c337c2ad7e670f5b1480b887e3e4c601e91b80"
+    )
+
+
+@pytest.mark.parametrize("kind", [list, tuple, iter])
+def test_zero_sum_entry_points_read_their_sequence_once(kind):
+    # A tuple of divisors also takes the divisor path of gcd_zero_sum,
+    # whose test compares entry by entry.
+    seq = [1, 2, 3, 6, 1, 1]
+    assert zero_sum_mod(kind([4, 1, 2]), 3) == frozenset({2, 3})
+    assert divisor_zero_sum(6, kind(seq)) == divisor_zero_sum(6, seq)
+    assert gcd_zero_sum(6, kind(seq)) == divisor_zero_sum(6, seq)
+    assert gcd_zero_sum(6, kind([7, 1, 1, 1, 1, 1])) == gcd_zero_sum_oracle(
+        6, [7, 1, 1, 1, 1, 1]
+    )
+    assert erdos_lemke(6, 6, kind(seq)) == divisor_zero_sum(6, seq)
+    assert erdos_lemke(6, 3, kind([2, 3, 6])) == erdos_lemke(6, 3, [2, 3, 6])
+
+
+def test_gcd_zero_sum_on_divisors_is_the_divisor_construction():
+    # Every sequence of divisors for n <= 6, then seeded ones at the
+    # benchmark's sizes, with entries from the small divisors or from all.
+    cases = [
+        (n, list(seq))
+        for n in range(1, 7)
+        for seq in itertools.product(divisors_of(n), repeat=n)
+    ]
+    rng = random.Random(24)
+    for n in (60, 120, 360, 720):
+        small = [d for d in range(1, 7) if n % d == 0]
+        for pool in (small, divisors_of(n)):
+            cases += [(n, [rng.choice(pool) for _ in range(n)]) for _ in range(4)]
+    for n, seq in cases:
+        out = gcd_zero_sum(n, seq)
+        assert out == gcd_zero_sum_oracle(n, seq) == divisor_zero_sum(n, seq)
+
+
+def test_gcd_zero_sum_general_path_matches_oracle():
+    # Inputs with an entry that does not divide n, half of them with every
+    # entry at most n.
+    rng = random.Random(25)
+    tried = 0
+    while tried < 300:
+        n = rng.randint(2, 40)
+        top = n if tried % 2 else 100
+        seq = [rng.randint(1, top) for _ in range(n)]
+        if all(n % a == 0 for a in seq):
+            continue
+        tried += 1
+        assert gcd_zero_sum(n, seq) == gcd_zero_sum_oracle(n, seq)
+
+
+@st.composite
+def replays(draw):
+    """A digraph of 2-5 vertices with weights 2-4, starts, a legal random
+    step list (now and then one more step that may be illegal), a target
+    (mostly the last step's head), a combiner kind, a seed and a
+    placement modulus."""
+    nv = draw(st.integers(2, 5))
+    pairs = [(u, v) for u in range(nv) for v in range(nv) if u != v]
+    weights = draw(
+        st.lists(st.sampled_from((0, 2, 3, 4)), min_size=len(pairs), max_size=len(pairs))
+    )
+    g = Graph(nv, tuple((u, v, w) for (u, v), w in zip(pairs, weights) if w))
+    starts = draw(st.lists(st.integers(0, nv - 1), min_size=4, max_size=30))
+    c = [0] * nv
+    for v in starts:
+        c[v] += 1
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    steps, _ = random_legal_steps(rng, g, c, draw(st.integers(1, 12)))
+    if g.edges and draw(st.sampled_from((False, False, False, True))):
+        steps.append(rng.choice(g.edges)[:2])
+    t = draw(st.integers(0, nv - 1))
+    if steps and draw(st.sampled_from((True, True, True, False))):
+        t = steps[-1][1]
+    return (
+        g,
+        t,
+        starts,
+        steps,
+        draw(st.sampled_from(("union", "first", "subset", "outside"))),
+        draw(st.integers(0, 10**6)),
+        draw(st.sampled_from((None, None, 4, 40, 400))),
+    )
+
+
+def _logged_replay(engine, g, t, starts, steps, kind, seed, modulus):
+    """The engine's answer or error message, and every combiner and
+    placement call it made, in order."""
+    log = []
+    rng = random.Random(seed)
+
+    def combiner(u, v, sets):
+        log.append(("combine", u, v, list(sets)))
+        union = sorted(frozenset().union(*sets))
+        if kind == "union":
+            return union
+        if kind == "first":
+            return sets[0]
+        if kind == "outside":
+            return {*union, 0}
+        return rng.sample(union, rng.randint(1, len(union)))
+
+    def well_placed(v, s):
+        log.append(("place", v, s))
+        return (v + sum(s)) % modulus != 0
+
+    try:
+        out = engine(
+            g, t, starts, combiner, steps, None if modulus is None else well_placed
+        )
+    except PebblingError as exc:
+        out = str(exc)
+    return out, log
+
+
+@settings(max_examples=400, deadline=None)
+@given(replays())
+def test_replay_matches_the_deque_engine(instance):
+    assert _logged_replay(pebbling_construction, *instance) == _logged_replay(
+        pebbling_construction_oracle, *instance
     )

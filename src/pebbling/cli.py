@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import configs, flows, formulas, smv, solver, weights, zerosum
 from .errors import PebblingError
@@ -323,8 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # built by the first main() call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"argument --jobs: need at least 1, got {args.jobs}")

@@ -113,10 +113,11 @@ def realize(g: Graph, f: PebbleFlow) -> tuple[tuple[Step, ...], Config]:
     lowest-id such vertex fires its minimum (weight, head) remaining
     outflow edge.  Every fired step keeps the excess (with respect to the
     remaining flow) unchanged, and cyclic remainders are simply never
-    fired.  A step costs O(V): kept as state are the remaining in- and
-    outflow counts, the number of vertices below their excess and, per
-    vertex, rows [weight, head, count left] of the out-edges still to
-    fire, largest first so the next is last.
+    fired.  Kept as state are the remaining in- and outflow counts, the
+    number of vertices below their excess and, per vertex, rows [weight,
+    head, count left] of the out-edges still to fire, largest first so the
+    next is last.  Firing u -> v can make only v newly fireable, so the
+    scan resumes at u and moves back only to such a v < u, not to 0.
     """
     if f.graph is not g:
         f = PebbleFlow(g, f.config, f.flow)
@@ -137,9 +138,11 @@ def realize(g: Graph, f: PebbleFlow) -> tuple[tuple[Step, ...], Config]:
         row.sort(reverse=True)
     below = sum(1 for w, x in zip(work, target_excess) if w < x)
     steps: list[Step] = []
+    u = 0  # no vertex below u is fireable
     while below:
-        u = next((w for w in range(nv) if inflow[w] < outflow[w]), None)
-        if u is None:
+        while u < nv and inflow[u] >= outflow[u]:
+            u += 1
+        if u == nv:
             raise PebblingError("no fireable vertex found; flow inconsistent")
         row = outs[u][-1]
         wt, v, _ = row
@@ -155,6 +158,8 @@ def realize(g: Graph, f: PebbleFlow) -> tuple[tuple[Step, ...], Config]:
         if not row[2]:
             outs[u].pop()
         steps.append((u, v))
+        if v < u and inflow[v] < outflow[v]:
+            u = v
     return tuple(steps), tuple(work)
 
 

@@ -63,8 +63,8 @@ def pebbling_construction(
     once, as it is placed (with ``well_placed``, when given): the start
     payloads are distinct singletons, a merged set lies inside what its
     step popped, and no step touches any other payload, so the sets stay
-    non-empty and disjoint.  Each vertex's queue is a list read from a
-    head index, so a step takes its k payloads as one slice.
+    non-empty and disjoint.  The starts are checked here, the rest in
+    ``_replay``.
     """
     nv = g.vertex_count
     check_vertices(nv, (t,), "target")
@@ -77,10 +77,17 @@ def pebbling_construction(
         placed = len(list(takewhile(bool, map(well_placed, starts, singles))))
         if placed < len(starts):
             raise _misplaced(starts[placed], singles[placed])
-    queues: list[list[IndexSet]] = [[] for _ in range(nv)]
+    return _replay(g, t, starts, singles, combiner, steps, well_placed)
+
+
+def _replay(g, t, starts, singles, combiner, steps, well_placed) -> IndexSet:
+    """Place the checked start payloads, run ``steps`` (checking each
+    merged payload) and return the front payload at t.  A queue is a list
+    read from a head index, so a step takes its k payloads as one slice."""
+    queues: list[list[IndexSet]] = [[] for _ in range(g.vertex_count)]
     for v, s in zip(starts, singles):
         queues[v].append(s)
-    heads = [0] * nv
+    heads = [0] * g.vertex_count
     for u, v in steps:
         w = g.weight(u, v)
         head = heads[u]
@@ -117,7 +124,7 @@ def _lattice_solution(n: int, starts: list[int]):
     start."""
     g = _lattice(n)
     index = {d: i for i, d in enumerate(g.labels)}
-    verts = [index[d] for d in starts]
+    verts = list(map(index.__getitem__, starts))
     c = [0] * g.vertex_count
     for v in verts:
         c[v] += 1
@@ -133,6 +140,9 @@ def _lattice_solution(n: int, starts: list[int]):
 
 
 def _require_divisors(n: int, seq: list[int]) -> None:
+    # Types first (a set merges True with 1), then each value once.
+    if set(map(type, seq)) <= {int} and all(a > 0 and not n % a for a in set(seq)):
+        return
     for a in seq:
         if type(a) is not int or a < 1 or n % a != 0:
             raise PebblingError(f"{a!r} is not a divisor of {n}")
@@ -150,9 +160,20 @@ def divisor_zero_sum(n: int, divisors: list[int]) -> IndexSet:
     if len(divisors) != n:
         raise PebblingError(f"need exactly {n} divisors, got {len(divisors)}")
     _require_divisors(n, divisors)
-    g, verts, t, steps = _lattice_solution(n, divisors)
-    at = (0, *divisors).__getitem__  # 1-based
+    return _divisor_construction(n, divisors)
+
+
+def _divisor_construction(n: int, seq: tuple[int, ...]) -> IndexSet:
+    """``divisor_zero_sum`` on a checked tuple of n divisors of n.  The
+    start {i} at vertex v is well-placed when a_i is v's label; all n are
+    checked in one pass, and one by one only to name the first failure."""
+    g, verts, t, steps = _lattice_solution(n, seq)
+    at = (0, *seq).__getitem__  # 1-based
     labels = g.labels
+    if tuple(map(labels.__getitem__, verts)) != seq:
+        i = next(i for i, a in enumerate(seq) if a != labels[verts[i]])
+        raise _misplaced(verts[i], frozenset({i + 1}))
+    singles = map(frozenset, zip(range(1, n + 1)))
 
     def combiner(u, v, sets):
         return frozenset().union(*sets)
@@ -160,7 +181,7 @@ def divisor_zero_sum(n: int, divisors: list[int]) -> IndexSet:
     def well_placed(v, s):
         return sum(map(at, s)) == labels[v]
 
-    out = pebbling_construction(g, t, verts, combiner, steps, well_placed)
+    out = _replay(g, t, verts, singles, combiner, steps, well_placed)
     if sum(map(at, out)) != n:
         raise AssertionError("constructed subset does not sum to n")
     return out
@@ -176,7 +197,7 @@ def gcd_zero_sum(n: int, seq: list[int]) -> IndexSet:
     multiple of p*d with gcd-sum at most p*d.
 
     When every entry divides n (gcd(n, a_i) == a_i entry by entry) this
-    returns ``divisor_zero_sum(n, seq)``, which is the same subset:
+    runs the divisor construction, which gives the same subset:
 
     - A payload's gcd-sum is then its sum, so the check at vertex d
       (d divides the sum and the gcd-sum is at most d) holds exactly when
@@ -196,7 +217,7 @@ def gcd_zero_sum(n: int, seq: list[int]) -> IndexSet:
         raise PebblingError("entries must be positive ints")
     gcds = tuple(map(gcd, repeat(n), seq))
     if gcds == seq:
-        return divisor_zero_sum(n, seq)
+        return _divisor_construction(n, seq)
     g, verts, t, steps = _lattice_solution(n, gcds)
     at = (0, *seq).__getitem__  # 1-based
     gcd_at = (0, *gcds).__getitem__
@@ -226,8 +247,8 @@ def erdos_lemke(n: int, d: int, seq: list[int]) -> IndexSet:
     and sum at most n.
 
     This is ``gcd_zero_sum(d, seq)``.  When every entry also divides d
-    (always at d = n) that is the divisor construction, and the subset
-    sums to exactly d.
+    (shown here at d = n, which goes to it directly) that is the divisor
+    construction, and the subset sums to exactly d.
     """
     check_int(n, 1, "n")
     _require_divisors(n, (d,))
@@ -235,8 +256,8 @@ def erdos_lemke(n: int, d: int, seq: list[int]) -> IndexSet:
     if len(seq) != d:
         raise PebblingError(f"need exactly {d} entries, got {len(seq)}")
     _require_divisors(n, seq)
-    out = gcd_zero_sum(d, seq)
-    total = sum(seq[i - 1] for i in out)
+    out = _divisor_construction(n, seq) if d == n else gcd_zero_sum(d, seq)
+    total = sum(map((0, *seq).__getitem__, out))
     if total % d != 0 or total > n:
         raise AssertionError("constructed subset violates the target bounds")
     return out

@@ -358,6 +358,15 @@ def test_integer_that_is_not_an_int_or_too_small_raises_pebbling_error(
         (lambda: divisor_zero_sum(2, [1, 1.0]), "1.0 is not a divisor of 2"),
         (lambda: erdos_lemke(4, 2.0, [1, 1]), "2.0 is not a divisor of 4"),
         (lambda: erdos_lemke(4, 3, [1, 1, 1]), "3 is not a divisor of 4"),
+        # divisors are checked once per distinct value, after a type pass:
+        # in a set True merges with 1 and 2.0 with 2
+        (lambda: divisor_zero_sum(2, [1, True]), "True is not a divisor of 2"),
+        (lambda: divisor_zero_sum(4, [2, 2.0, 1, 1]), "2.0 is not a divisor of 4"),
+        (lambda: divisor_zero_sum(2, [1, 0]), "0 is not a divisor of 2"),
+        (lambda: divisor_zero_sum(2, [-1, 1]), "-1 is not a divisor of 2"),
+        (lambda: divisor_zero_sum(6, [1, 2, 3, 6, 4, 5]), "4 is not a divisor of 6"),
+        (lambda: erdos_lemke(6, 6, [1, 2, 3, 6, True, 0]), "True is not a divisor of 6"),
+        (lambda: erdos_lemke(12, 6, [1, 2, 3, 6, 12, 5]), "5 is not a divisor of 12"),
         (lambda: gcd_zero_sum(2, [1.0, 1]), "entries must be positive ints"),
         (lambda: zero_sum_mod([True, True, True], 3), "entries must be ints"),
         # an AssertionError from the pigeonhole

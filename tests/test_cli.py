@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -446,3 +449,61 @@ def test_readme_library_block_runs():
     assert names["out"].value == 11
     assert len(names["steps"]) == 8 and names["final"][0] == 1
     assert names["lp_bound"](names["g"], 0, names["ws"]) == 11
+
+
+# Subcommands, a usage error from main itself (--jobs 0), parse errors,
+# a domain error and an appending option, each run more than once.
+REPEATED = [
+    ["pi", "--family", "cycle:5:2", "--target", "0"],
+    ["--jobs", "0", "pi", "--family", "cycle:5:2", "--target", "0"],
+    ["--json", "zerosum", "--n", "4", "--seq", "1,2,1,2", "--divisors"],
+    ["pi", "--target", "0"],
+    ["erdos-lemke", "--n", "6", "--d", "3", "--seq", "1,2,3"],
+    ["not-a-command"],
+    ["wf-validate", "--family", "cycle:6:2", "--cycle-pair", "0"],
+    ["pi", "--family", "blorp:3", "--target", "0"],
+    ["--json", "pi", "--family", "path:3:2", "--target", "2"],
+    ["zerosum", "--n", "4", "--seq", "1,,1,1"],
+    ["--jobs", "0", "pi", "--family", "cycle:5:2", "--target", "0"],
+    ["pi", "--family", "cycle:5:2", "--target", "0"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = f"exit {exc.code}"
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_reuses_one_parser_with_unchanged_output(capsys, monkeypatch):
+    # A parser built afresh for every call gives the same codes, stdout
+    # and stderr as the one main builds once and reuses.
+    from pebbling import cli
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = [_outcome(capsys, argv) for argv in REPEATED]
+    reused = [_outcome(capsys, argv) for argv in REPEATED * 2]
+    assert reused == fresh * 2
+    assert [code for code, _, _ in fresh[:2]] == [0, "exit 2"]
+    assert cli._parser() is cli._parser()
+
+
+def test_import_builds_no_parser():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import pebbling.cli as c; print(c._parser.cache_info().currsize)",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "0\n"

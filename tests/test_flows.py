@@ -99,6 +99,15 @@ def test_realize_skips_cyclic_remainder():
     assert all(final[v] >= f.excess(v) for v in range(3))
 
 
+def test_realize_moves_back_to_a_lower_vertex_that_firing_made_fireable():
+    # Vertex 1 fires first, as vertex 0's inflow still covers its outflow;
+    # the step into vertex 0 makes it fireable, so it fires before 3.
+    g = Graph(4, ((1, 0, 2), (0, 2, 2), (3, 2, 2)))
+    f = PebbleFlow(g, (1, 2, 0, 2), {(1, 0): 1, (0, 2): 1, (3, 2): 1})
+    assert realize(g, f) == realize_oracle(g, f)
+    assert realize(g, f) == (((1, 0), (0, 2), (3, 2)), (0, 0, 2, 0))
+
+
 def test_realize_on_an_equal_graph_object():
     # A graph equal to the flow's own but built apart: the flow is checked
     # against it, and the steps are the same.

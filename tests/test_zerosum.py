@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pebbling.errors import PebblingError
+from pebbling import zerosum
 from pebbling.graphs import Graph, path_graph
 from pebbling.zerosum import (
     divisor_zero_sum,
@@ -274,6 +275,45 @@ def test_gcd_zero_sum_general_path_matches_oracle():
             continue
         tried += 1
         assert gcd_zero_sum(n, seq) == gcd_zero_sum_oracle(n, seq)
+
+
+def test_erdos_lemke_below_n_matches_the_gcd_oracle():
+    # At d < n erdos_lemke is gcd_zero_sum(d, seq).  The entries divide n,
+    # and in about half the inputs one does not divide d, so both the
+    # divisor path and the general path of gcd_zero_sum are taken.
+    rng = random.Random(26)
+    paths = set()
+    for _ in range(200):
+        n = rng.choice([12, 24, 30, 36, 48, 60, 72, 90, 120])
+        ds = divisors_of(n)
+        d = rng.choice(ds[:-1])
+        pool = divisors_of(d) if rng.random() < 0.5 else ds
+        seq = [rng.choice(pool) for _ in range(d)]
+        paths.add(all(d % a == 0 for a in seq))
+        assert erdos_lemke(n, d, seq) == gcd_zero_sum_oracle(d, seq)
+    assert paths == {False, True}
+
+
+def test_bulk_start_check_names_the_first_misplaced_start(monkeypatch):
+    # The divisor construction checks its starts in one pass; given a
+    # lattice solution whose start vertices are wrong at indices 2 and 4,
+    # it reports index 2 with the message the engine gives, checking the
+    # starts one by one with the same rule.
+    seq = [1, 2, 4, 1]
+    g, verts, t, steps = zerosum._lattice_solution(4, seq)
+    verts[1], verts[3] = verts[3], verts[1]
+    monkeypatch.setattr(
+        zerosum, "_lattice_solution", lambda n, starts: (g, verts, t, steps)
+    )
+    message = r"^payload at vertex 0 is not well-placed: \[2\]$"
+    with pytest.raises(PebblingError, match=message):
+        divisor_zero_sum(4, seq)
+
+    def well_placed(v, s):
+        return sum(seq[i - 1] for i in s) == g.labels[v]
+
+    with pytest.raises(PebblingError, match=message):
+        pebbling_construction(g, t, verts, None, steps, well_placed)
 
 
 @st.composite

@@ -451,8 +451,8 @@ def test_readme_library_block_runs():
     assert names["lp_bound"](names["g"], 0, names["ws"]) == 11
 
 
-# Subcommands, a usage error from main itself (--jobs 0), parse errors,
-# a domain error and an appending option, each run more than once.
+# Subcommands, a usage error from main itself (--jobs 0), parse errors
+# and a domain error, some of them more than once.
 REPEATED = [
     ["pi", "--family", "cycle:5:2", "--target", "0"],
     ["--jobs", "0", "pi", "--family", "cycle:5:2", "--target", "0"],

@@ -6,8 +6,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pebbling.errors import PebblingError
 from pebbling import zerosum
+from pebbling.errors import PebblingError
 from pebbling.graphs import Graph, path_graph
 from pebbling.zerosum import (
     divisor_zero_sum,

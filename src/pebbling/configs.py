@@ -46,6 +46,7 @@ def reduced_size(c: Config, k: int) -> int:
     Applied literally: the empty configuration gets k - 1, which is not an
     extractable pebble count, so callers must special-case s# = 0.
     """
+    check_config(c)
     check_int(k, 1, "k")
     return size(c) - (k - 1) * (support_count(c) - 1)
 
@@ -197,9 +198,12 @@ def config_from_pairs(vertex_count: int, pairs) -> Config:
     return tuple(counts)
 
 
-def check_config(c: Config, vertex_count: int) -> None:
-    """Reject anything but one non-negative int per vertex."""
-    if len(c) != vertex_count:
+def check_config(c: Config, vertex_count: int | None = None) -> None:
+    """Reject anything but a tuple or list of non-negative ints, one per
+    vertex (of any length when ``vertex_count`` is None)."""
+    if not isinstance(c, (tuple, list)):
+        raise PebblingError(f"configuration must be a tuple or list, got {type(c).__name__}")
+    if vertex_count is not None and len(c) != vertex_count:
         raise PebblingError(f"configuration has {len(c)} entries for {vertex_count} vertices")
     for x in c:  # a plain loop: this runs once per decision
         if type(x) is not int or x < 0:  # bool is an int

@@ -2,9 +2,10 @@
 numbers, the 2-pebbling property, tau-verification and optimal pebbling.
 
 Solvability is decided by depth-first search over the configuration graph
-with a per-call memo of failed configurations; termination holds because
-every step strictly decreases the total pebble count.  Two cheap bounds
-avoid most searches:
+with a memo of failed configurations: fresh for each ``is_solvable`` call,
+and one per exhaustive walk toward a (t, n), shared by all of the walk's
+searches.  Termination holds because every step strictly decreases the
+total pebble count.  Two cheap bounds avoid most searches:
 
 * sufficient: vertices can independently deliver floor(c(v)/cost(v))
   pebbles to the target, where cost(v) is the cheapest product of edge
@@ -27,7 +28,10 @@ The exhaustive walks (``configs.bounded_configs``) visit only what can
 change their answer: the pi scan and the 2PP check walk t's box
 sum(c(v) // cost(v)) < n, outside which independent delivery solves c, and
 the 2PP check and ``verify_tau`` cut the walk to a support-size window,
-and ``verify_tau`` also skips what its fast path certifies.
+and ``verify_tau`` also skips what its fast path certifies.  Each walk
+decides through ``_unsolvable`` with its own memo per (t, n), so a search
+of the walk skips what an earlier one proved unsolvable (until the memo
+reaches ``MEMO_CAP`` and is cleared).
 """
 
 from __future__ import annotations
@@ -44,6 +48,12 @@ from .errors import PebblingError
 from .graphs import Graph
 
 Step = tuple[int, int]
+
+# The size at which a walk's memo of failed configurations is cleared
+# before its next search (``_unsolvable``).  The largest walks measured stay
+# below it: the C10 size-32 scan peaks at 57,122 and the Q4 size-16 scan at
+# 45,624.
+MEMO_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -203,17 +213,25 @@ def is_solvable(g: Graph, c: Config, t: int, n: int) -> SolveResult:
     """Complete decision of n-fold t-solvability with a replayable witness.
 
     The shared opening (``_pre_search``) answers first when it can;
-    otherwise steps are explored in (from, to) sorted edge order, so the
-    first witness found, read off the stack's frames above the root, is
-    deterministic.
+    otherwise ``_search`` explores steps in (from, to) sorted edge order
+    with a memo of its own, so the first witness found, read off the
+    stack's frames above the root, is deterministic.
     """
     opening = _pre_search(g, c, t, n)
     if opening is not None:
         return opening
-    rec = _target(g, t)
+    return _search(_target(g, t), c, t, n, set())
+
+
+def _search(rec: _Target, c: Config, t: int, n: int, failed: set[Config]) -> SolveResult:
+    """The depth-first search of ``is_solvable`` from c, which the opening
+    left undecided.  ``failed`` holds configurations known not n-fold
+    t-solvable, and every configuration whose subtree fails joins it, c
+    included.  Skipping a member removes no witness and changes no step
+    order, so a set shared by the searches of one walk toward the same
+    (graph, t, n) gives the same answers and witnesses as a fresh one."""
     edges = rec.edges
     bound = n * rec.scale
-    failed: set[Config] = set()
     # Depth-first over steps in edge order with an explicit stack of
     # [configuration, potential, next edge index, step that made it]; the
     # steps of the frames above the root lead from c to the top frame.  A
@@ -242,18 +260,26 @@ def is_solvable(g: Graph, c: Config, t: int, n: int) -> SolveResult:
             break
         else:
             stack.pop()
-            if stack:
-                failed.add(conf)
+            failed.add(conf)
     return SolveResult(False)
 
 
-def _unsolvable(g: Graph, c: Config, t: int, n: int) -> bool:
-    """Exact decision without a witness: the quick bounds and the greedy
-    concentration, then the search only when they give no answer."""
+def _unsolvable(g: Graph, c: Config, t: int, n: int, failed: set[Config]) -> bool:
+    """Exact decision without a witness, for the walks, whose instances are
+    already checked: the quick bounds and the greedy concentration, then
+    ``failed``, the walk's memo toward (g, t, n), then the search only when
+    none of them gives the answer.  The memo is cleared before a search
+    once it holds ``MEMO_CAP`` configurations."""
     quick = solvable_quick(g, c, t, n)
     if quick is not None:
         return not quick
-    return _greedy_steps(g, c, t, n) is None and not is_solvable(g, c, t, n)
+    if _greedy_steps(g, c, t, n) is not None:
+        return False
+    if c in failed:
+        return True
+    if len(failed) >= MEMO_CAP:
+        failed.clear()
+    return not _search(_target(g, t), c, t, n, failed)
 
 
 @dataclass(frozen=True)
@@ -285,11 +311,12 @@ def _structured_witness(g: Graph, t: int, n: int, p: int) -> Config | None:
     configurations with support at most two, each whole stack first, then
     each split of p over a pair of vertices."""
     nv = g.vertex_count
+    failed: set[Config] = set()
     for v in range(nv):
         counts = [0] * nv
         counts[v] = p
         c = tuple(counts)
-        if _unsolvable(g, c, t, n):
+        if _unsolvable(g, c, t, n, failed):
             return c
     for v in range(nv):
         for u in range(v + 1, nv):
@@ -298,7 +325,7 @@ def _structured_witness(g: Graph, t: int, n: int, p: int) -> Config | None:
                 counts[v] = a
                 counts[u] = p - a
                 c = tuple(counts)
-                if _unsolvable(g, c, t, n):
+                if _unsolvable(g, c, t, n, failed):
                     return c
     return None
 
@@ -307,8 +334,9 @@ def _scan_stride(g: Graph, t: int, n: int, p: int, jobs: int, start: int) -> Con
     """First unsolvable one of t's box walk at places start, start + jobs, ..."""
     # A vertex that cannot reach t delivers nothing within size p: cost p + 1.
     cost = tuple(p + 1 if cv is None else cv for cv in _target(g, t).cost)
+    failed: set[Config] = set()
     for c in itertools.islice(bounded_configs(p, cost, n - 1), start, None, jobs):
-        if _unsolvable(g, c, t, n):
+        if _unsolvable(g, c, t, n, failed):
             return c
     return None
 
@@ -399,6 +427,7 @@ def has_2pp(g: Graph, pi: int, variant: str = "support"):
     nv = g.vertex_count
     for t in range(nv):
         check_reachable(g, t)
+    failed: list[set[Config]] = [set() for _ in range(nv)]
     for s in range(max(2 * pi - nv + 1, 0), 2 * pi + 2):
         q = 2 * pi + 1 - s
         if variant == "support":
@@ -413,16 +442,17 @@ def has_2pp(g: Graph, pi: int, variant: str = "support"):
         for c, t in heapq.merge(*boxes):
             if variant == "odd" and sum(x % 2 for x in c) < q:
                 continue
-            if _unsolvable(g, c, t, 2):
+            if _unsolvable(g, c, t, 2, failed[t]):
                 return False, (c, t)
     return True, None
 
 
 def _tau_subconfig_exists(
-    g: Graph, c: Config, t: int, n: int, k: int, m: int, s: int, q: int
+    g: Graph, c: Config, t: int, n: int, k: int, m: int, s: int, q: int, failed: set[Config]
 ) -> bool:
     """Is there c* within c, n-fold t-solvable, with r_k(c - c*) >= m?
-    s and q are the size and support count of c.
+    s and q are the size and support count of c, and ``failed`` is the
+    walk's memo toward (g, t, n).
 
     An O(V) fast path first tries c* made of n*cost(v) pebbles on one
     vertex (with or without the target's own); ``verify_tau`` does not
@@ -450,12 +480,12 @@ def _tau_subconfig_exists(
     # max(j, m + (k - 1)(j - 1)) that keeps r_k(r) = |r| - (k - 1)(j - 1)
     # >= m, and that one works too.  The empty residual counts k - 1, as
     # ``configs.reduced_size`` reads it.
-    if k - 1 >= m and not _unsolvable(g, c, t, n):
+    if k - 1 >= m and not _unsolvable(g, c, t, n, failed):
         return True
     room = tuple(x + 1 for x in c)  # 1 <= r(v) <= c(v) on r's support
     for j in range(1, q + 1):
         for r in bounded_configs(max(j, m + (k - 1) * (j - 1)), room, 0, j, j):
-            if not _unsolvable(g, tuple(a - b for a, b in zip(c, r)), t, n):
+            if not _unsolvable(g, tuple(a - b for a, b in zip(c, r)), t, n, failed):
                 return True
     return False
 
@@ -482,6 +512,7 @@ def verify_tau(g: Graph, t: int, n: int, k: int, p: int, m_max: int) -> bool:
     configs.check_int(m_max, 0, "m_max")
     nv = g.vertex_count
     ones = (1,) * (nv - 1)
+    failed: set[Config] = set()
     for s in range(max(p + 1 - nv, 0), p + 2 + m_max):
         q_lo, q_hi = p + 1 - s, p + 1 + m_max - s
         for ct in range(s + 1):
@@ -493,7 +524,7 @@ def verify_tau(g: Graph, t: int, n: int, k: int, p: int, m_max: int) -> bool:
             for others in bounded_configs(rest, ones, rest, max(lo - held, 0), q_hi - held):
                 c = others[:t] + (ct,) + others[t:]
                 q = nv - c.count(0)
-                if not _tau_subconfig_exists(g, c, t, n, k, s + q - p - 1, s, q):
+                if not _tau_subconfig_exists(g, c, t, n, k, s + q - p - 1, s, q, failed):
                     return False
     return True
 
@@ -502,8 +533,8 @@ def optimal_pebbling_number(g: Graph):
     """Smallest configuration size solvable for every target, with one
     such configuration as witness.  The sizes stop at #V: one pebble on
     every vertex solves every target."""
-    targets = range(g.vertex_count)
+    failed: list[set[Config]] = [set() for _ in range(g.vertex_count)]
     for s in range(g.vertex_count + 1):
         for c in enumerate_configs(g.vertex_count, s):
-            if not any(_unsolvable(g, c, t, 1) for t in targets):
+            if not any(_unsolvable(g, c, t, 1, memo) for t, memo in enumerate(failed)):
                 return s, c

@@ -359,7 +359,7 @@ def realize_oracle(g: Graph, f):
 
 def two_pp_oracle(g: Graph, pi: int, variant: str = "support"):
     from pebbling.configs import enumerate_configs, support_count
-    from pebbling.solver import _unsolvable, pebbling_number
+    from pebbling.solver import is_solvable, pebbling_number
 
     def odd_count(c) -> int:
         return sum(1 for x in c if x % 2 == 1)
@@ -374,7 +374,7 @@ def two_pp_oracle(g: Graph, pi: int, variant: str = "support"):
             if s < 2 * pi - count_q(c) + 1:
                 continue
             for t in range(nv):
-                if _unsolvable(g, c, t, 2):
+                if not is_solvable(g, c, t, 2):
                     return False, (c, t)
     return True, None
 

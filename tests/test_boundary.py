@@ -375,6 +375,24 @@ def test_integer_that_is_not_an_int_or_too_small_raises_pebbling_error(
          "edge endpoint True is not a vertex"),
         (lambda: PebbleFlow(path_graph(3), (4, 0, 0), {(0, 1): 1.5}),
          "flow count must be an int >= 0"),
+        # configuration checks: reduced_size returned -3 for the first,
+        # and the rest ended in a TypeError
+        (lambda: reduced_size((3, -5), 2), "pebble counts must be non-negative integers"),
+        (lambda: reduced_size((1, "1", 0), 2), "pebble counts must be non-negative integers"),
+        (lambda: extract_blocks((3, None), 2, 1), "pebble counts must be non-negative integers"),
+        (lambda: extract_single_block((3, None), 2, 1),
+         "pebble counts must be non-negative integers"),
+        (lambda: is_solvable(path_graph(3), iter((4, 0, 0)), 2, 1),
+         "configuration must be a tuple or list, got tuple_iterator"),
+        (lambda: replay(path_graph(3), iter((4, 0, 0)), [(0, 1)]),
+         "configuration must be a tuple or list, got tuple_iterator"),
+        (lambda: solve_via_flow(path_graph(3), iter((4, 0, 0)), 2, 1),
+         "configuration must be a tuple or list, got tuple_iterator"),
+        (lambda: PebbleFlow(path_graph(3), iter((4, 0, 0)), {}),
+         "configuration must be a tuple or list, got tuple_iterator"),
+        # a dict of pebble counts has a length and int keys
+        (lambda: is_solvable(path_graph(3), {0: 4, 1: 0, 2: 0}, 2, 1),
+         "configuration must be a tuple or list, got dict"),
         # and each of these ends in a TypeError
         (lambda: pebbling_number(path_graph(3), 0, 1.5), "n must be an int >= 1"),
         (lambda: cycle_graph(3.0), "size must be an int >= 3"),

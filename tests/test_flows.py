@@ -305,6 +305,20 @@ def test_solve_via_flow_golden():
     )
 
 
+def test_is_solvable_golden():
+    # Answers, witnesses and final configurations of the public search,
+    # which starts from an empty memo whatever the walks share, pinned
+    # before the walks shared one.
+    results = []
+    for g, c, t, n in _golden_flow_instances():
+        r = is_solvable(g, c, t, n)
+        results.append((r.solvable, r.witness, r.final))
+    assert sum(not r[0] for r in results) == 23
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == (
+        "536594050604841132b99cd28b8159a68a2907bebccf0d8f1d929763e37cc0ae"
+    )
+
+
 def test_solve_via_flow_q4_two_stacks():
     # Neither stack reaches t = 10 alone (6 pebbles at cost 16, 7 at cost
     # 8), so the greedy has no witness and the branch and bound decides.

@@ -276,7 +276,7 @@ def test_tau_subconfig_matches_every_subconfiguration(monkeypatch):
         )
         q = sum(1 for x in c if x)
         decisions.clear()
-        answer = _tau_subconfig_exists(g, c, t, n, k, m, sum(c), q)
+        answer = _tau_subconfig_exists(g, c, t, n, k, m, sum(c), q, set())
         assert answer == expected, (family, c, t, n, k, m)
         answers.append(answer)
         if decisions:
@@ -463,6 +463,52 @@ def _strong_digraph(rng, nv):
     for _ in range(rng.randint(0, nv * (nv - 1))):
         arcs.add(tuple(rng.sample(range(nv), 2)))
     return Graph(nv, tuple((u, v, rng.choice((2, 3))) for u, v in sorted(arcs)))
+
+
+def _memo_walks(seed):
+    """Seeded walks toward (g, t, n) on strong digraphs at n = 1..3: every
+    configuration of the sizes pi - 1 down to pi - 4, so later, smaller
+    configurations can already be in the memo of the earlier searches.
+    Walks longer than 10,000 configurations are skipped to keep it quick."""
+    rng = random.Random(seed)
+    for _ in range(24):
+        g = _strong_digraph(rng, rng.randint(2, 5))
+        t = rng.randrange(g.vertex_count)
+        n = rng.randint(1, 3)
+        pi = pebbling_number(g, t, n).value
+        sizes = range(pi - 1, max(pi - 5, -1), -1)
+        walk = [c for s in sizes for c in enumerate_configs(g.vertex_count, s)]
+        if len(walk) <= 10_000:
+            yield g, t, n, walk
+
+
+def _walk_with_one_memo(g, t, n, walk):
+    """Decide a walk with one shared memo against fresh searches; returns
+    how many decisions the memo held up front and how often it shrank."""
+    failed = set()
+    known = cleared = 0
+    for c in walk:
+        known += c in failed
+        before = len(failed)
+        assert solver._unsolvable(g, c, t, n, failed) == (not is_solvable(g, c, t, n)), (g, c, t, n)
+        cleared += len(failed) < before
+    for c in failed:
+        assert solve_via_flow(g, c, t, n) is None, (g, c, t, n)
+    return known, cleared
+
+
+def test_one_memo_per_walk_gives_the_fresh_answers(monkeypatch):
+    # A configuration joins the memo only once its whole subtree failed
+    # toward the same (g, t, n), so sharing it along a walk changes no
+    # answer, and whatever it holds the flow route cannot solve.  At a cap
+    # of 3 the same walks clear it before most searches.
+    runs = [_walk_with_one_memo(*walk) for walk in _memo_walks(8)]
+    assert sum(known for known, _ in runs) > 0
+    assert sum(cleared for _, cleared in runs) == 0
+    monkeypatch.setattr(solver, "MEMO_CAP", 3)
+    runs = [_walk_with_one_memo(*walk) for walk in _memo_walks(8)]
+    assert sum(known for known, _ in runs) > 0
+    assert sum(cleared for _, cleared in runs) > 0
 
 
 def test_2pp_matches_every_pair_loop():

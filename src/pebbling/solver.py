@@ -40,6 +40,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import configs
@@ -154,7 +155,7 @@ def _deliverable(rec: _Target, c: Config) -> int:
 def _potential(rec: _Target, c: Config) -> int:
     """The potential of c in the record's scale: compare against
     n * ``rec.scale``.  Non-increasing under pebbling steps."""
-    return sum(x * w for x, w in zip(c, rec.weight))
+    return sum(map(operator.mul, c, rec.weight))
 
 
 def _greedy_steps(g: Graph, c: Config, t: int, n: int) -> tuple[tuple[Step, ...], Config] | None:
@@ -171,18 +172,28 @@ def _greedy_steps(g: Graph, c: Config, t: int, n: int) -> tuple[tuple[Step, ...]
     if work[t] >= n:
         return (), tuple(work)
     steps: list[Step] = []
-    for u, moves in _target(g, t).moves:
+    if _concentrate(_target(g, t), work, t, n, steps):
+        return tuple(steps), tuple(work)
+    return None
+
+
+def _concentrate(rec: _Target, work: list[int], t: int, n: int, steps: list[Step] | None) -> bool:
+    """The greedy's one pass over the record's moves, firing on ``work`` in
+    place and appending each step to ``steps`` (the walks pass None: they
+    need only the answer).  True once t holds n pebbles."""
+    for u, moves in rec.moves:
         for v, w in moves:
             k = work[u] // w
-            if v == t:
-                k = min(k, n - work[t])
             if k:
+                if v == t:
+                    k = min(k, n - work[t])
                 work[u] -= k * w
                 work[v] += k
-                steps += [(u, v)] * k
+                if steps is not None:
+                    steps += [(u, v)] * k
                 if work[t] >= n:
-                    return tuple(steps), tuple(work)
-    return None
+                    return True
+    return False
 
 
 def solvable_quick(g: Graph, c: Config, t: int, n: int) -> bool | None:
@@ -273,13 +284,14 @@ def _unsolvable(g: Graph, c: Config, t: int, n: int, failed: set[Config]) -> boo
     quick = solvable_quick(g, c, t, n)
     if quick is not None:
         return not quick
-    if _greedy_steps(g, c, t, n) is not None:
+    rec = _target(g, t)
+    if _concentrate(rec, list(c), t, n, None):
         return False
     if c in failed:
         return True
     if len(failed) >= MEMO_CAP:
         failed.clear()
-    return not _search(_target(g, t), c, t, n, failed)
+    return not _search(rec, c, t, n, failed)
 
 
 @dataclass(frozen=True)

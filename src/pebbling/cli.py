@@ -340,7 +340,7 @@ def main(argv=None) -> int:
         if "place" in vars(args):
             inputs.append(_load_config(args, inputs[0]))
         args.fn(args, *inputs)
-    except (PebblingError, OSError, ValueError) as exc:  # ValueError: an undecodable file
+    except (PebblingError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

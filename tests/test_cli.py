@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from pebbling import solver
 from pebbling.cli import main
 
 
@@ -350,6 +351,25 @@ def test_malformed_file_gives_one_error_line(capsys, tmp_path, option, text, arg
     assert code in (1, 2)
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, raising",
+    [
+        # a bug's ValueError inside a command is not an input error
+        (["pi", "--family", "cycle:4:2", "--target", "0"], True),
+        # a path holding NUL, which only a Python caller can pass
+        (["pi", "--graph", "in\0put.txt", "--target", "0"], False),
+    ],
+)
+def test_value_error_outside_the_loaders_propagates(monkeypatch, argv, raising):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug")
+
+    if raising:
+        monkeypatch.setattr(solver, "pebbling_number", broken)
+    with pytest.raises(ValueError):
+        main(argv)
 
 
 @pytest.mark.parametrize("place", ["", ",", "0", "0:x", "0:1:2"])

@@ -26,7 +26,7 @@ from pebbling.graphs import (
     star_graph,
 )
 from pebbling.solver import (
-    _greedy_steps,
+    _pre_search,
     _scan_stride,
     _tau_subconfig_exists,
     apply_step,
@@ -371,7 +371,7 @@ def test_target_already_full_gives_tuple_final():
     # a tuple even when c is given as a list.
     g = path_graph(3)
     c = [0, 1, 3]
-    assert _greedy_steps(g, c, 2, 3) == ((), (0, 1, 3))
+    assert _pre_search(g, c, 2, 3) == solver.SolveResult(True, (), (0, 1, 3))
     out = is_solvable(g, c, 2, 3)
     assert out == solver.SolveResult(True, (), (0, 1, 3))
     assert type(out.final) is tuple
@@ -383,7 +383,7 @@ def test_deep_search_without_greedy_replays():
     # recursion limit.
     g = Graph(3, ((1, 0, 2), (2, 0, 3), (2, 1, 2)))
     c, n = (0, 1, 3602), 1201
-    assert _greedy_steps(g, c, 0, n) is None
+    assert _pre_search(g, c, 0, n) is None
     out = is_solvable(g, c, 0, n)
     assert out.solvable
     assert replay(g, c, out.witness) == out.final and out.final[0] >= n
@@ -578,10 +578,9 @@ def undecided_instances(draw):
 @given(undecided_instances())
 def test_greedy_replays_and_deciders_agree(instance):
     g, c, t, n = instance
-    greedy = _greedy_steps(g, c, t, n)
-    if greedy is not None:
-        steps, final = greedy
-        assert final == replay(g, c, steps) and final[t] >= n
+    greedy = _pre_search(g, c, t, n)
+    if greedy:  # solved by the greedy, not refused by the potential
+        assert greedy.final == replay(g, c, greedy.witness) and greedy.final[t] >= n
     out = is_solvable(g, c, t, n)
     assert out.solvable == (solve_via_flow(g, c, t, n) is not None)
     if out.solvable:
@@ -608,7 +607,46 @@ def deliverable_instances(draw):
 @given(deliverable_instances())
 def test_greedy_does_no_worse_than_independent_delivery(instance):
     g, c, t, n = instance
-    greedy = _greedy_steps(g, c, t, n)
-    assert greedy is not None
-    steps, _ = greedy
-    assert replay(g, c, steps)[t] >= n
+    greedy = _pre_search(g, c, t, n)
+    assert greedy is not None and greedy.solvable
+    assert replay(g, c, greedy.witness)[t] >= n
+
+
+def test_no_decision_needs_the_delivery_bound(monkeypatch):
+    # Every decider and walk opens with the potential and the greedy only;
+    # with solvable_quick unusable they give the answers they gave when the
+    # walks still ran its delivery test first.
+    def unusable(*args):
+        raise AssertionError("solvable_quick called")
+
+    monkeypatch.setattr(solver, "solvable_quick", unusable)
+    lemke, petersen = make_family("lemke"), make_family("petersen")
+    q3 = make_family("hypercube:3:4")
+    decisions = [
+        ("cycle:7:2", (0, 0, 0, 5, 5, 0, 0), 0, 1, None),
+        ("cycle:7:2", (0, 0, 0, 5, 6, 0, 0), 0, 1, (1, 0, 0, 0, 0, 0, 0)),
+        ("petersen", (0, 0, 0, 0, 0, 0, 9, 0, 0, 0), 0, 2, (2, 0, 0, 0, 0, 0, 1, 0, 0, 0)),
+        ("petersen", (0, 1, 1, 1, 1, 1, 1, 1, 1, 1), 0, 1, None),
+        ("lemke", (0, 0, 0, 1, 1, 1, 1, 8), 0, 2, None),
+        ("lemke", (0, 0, 0, 1, 1, 1, 1, 8), 0, 1, (1, 0, 0, 1, 1, 1, 1, 0)),
+    ]
+    for family, c, t, n, final in decisions:
+        g = make_family(family)
+        assert is_solvable(g, c, t, n).final == final, (family, c, t, n)
+        assert (solve_via_flow(g, c, t, n) is None) == (final is None), (family, c, t, n)
+    numbers = [
+        (cycle_graph(7), 0, 1, (11, (0, 0, 0, 5, 5, 0, 0))),
+        (cycle_graph(7), 3, 2, (19, (5, 0, 0, 0, 0, 0, 13))),
+        (petersen, 0, 1, (10, (0, 1, 1, 1, 1, 1, 1, 1, 1, 1))),
+        (lemke, 0, 1, (8, (0, 1, 1, 1, 1, 1, 1, 1))),
+        (lemke, 0, 2, (16, (0, 0, 0, 0, 0, 0, 0, 15))),
+    ]
+    for g, t, n, expected in numbers:
+        out = pebbling_number(g, t, n)
+        assert (out.value, out.witness_unsolvable) == expected, (g, t, n)
+    assert has_2pp(lemke, 8) == (False, ((0, 0, 0, 1, 1, 1, 1, 8), 0))
+    assert has_2pp(lemke, 8, "odd") == (False, ((0, 0, 0, 1, 1, 1, 1, 9), 0))
+    assert verify_tau(q3, 3, 2, 3, 24, 2)
+    assert not verify_tau(q3, 3, 2, 3, 22, 2)
+    assert optimal_pebbling_number(cycle_graph(7)) == (5, (0, 0, 1, 2, 0, 0, 2))
+    assert optimal_pebbling_number(petersen) == (4, (0, 0, 0, 0, 0, 0, 0, 0, 0, 4))

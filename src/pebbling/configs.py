@@ -87,9 +87,9 @@ def extract_single_block(c: Config, k: int, n: int) -> tuple[int, Config]:
 def enumerate_configs(vertex_count: int, total: int) -> Iterator[Config]:
     """All configurations of the exact given size, lexicographically
     ascending; yields C(total + n - 1, n - 1) items."""
-    check_int(vertex_count, 1, "vertex count")
+    ones = _per_vertex(vertex_count, 1)
     check_int(total, 0, "size")
-    yield from bounded_configs(total, (1,) * vertex_count, total)
+    yield from bounded_configs(total, ones, total)
 
 
 def bounded_configs(
@@ -181,21 +181,29 @@ def enumerate_configs_with_support(
     """Configurations of the exact size whose support has exactly the given
     number of vertices, lexicographically ascending; none for a negative
     size."""
-    check_int(vertex_count, 1, "vertex count")
+    ones = _per_vertex(vertex_count, 1)
     check_int(support_size, 0, "support size")
     if type(total) is not int or total >= 0:  # a negative size has no configurations
         check_int(total, 0, "size")
-    yield from bounded_configs(total, (1,) * vertex_count, total, support_size, support_size)
+    yield from bounded_configs(total, ones, total, support_size, support_size)
 
 
 def config_from_pairs(vertex_count: int, pairs) -> Config:
-    check_int(vertex_count, 1, "vertex count")
-    counts = [0] * vertex_count
+    counts = _per_vertex(vertex_count, 0)
     for v, x in pairs:
         check_vertices(vertex_count, (v,), "placement")
         check_int(x, 0, "pebble count")
         counts[v] += x
     return tuple(counts)
+
+
+def _per_vertex(vertex_count: int, value: int) -> list[int]:
+    """[value] * vertex_count, for an int count >= 1 that fits an index."""
+    check_int(vertex_count, 1, "vertex count")
+    try:
+        return [value] * vertex_count
+    except OverflowError:
+        raise PebblingError(f"vertex count {vertex_count} is too large") from None
 
 
 def check_config(c: Config, vertex_count: int | None = None) -> None:

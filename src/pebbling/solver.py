@@ -32,9 +32,10 @@ change their answer: the pi scan and the 2PP check walk t's box
 sum(c(v) // cost(v)) < n, outside which independent delivery solves c, and
 the 2PP check and ``verify_tau`` cut the walk to a support-size window,
 and ``verify_tau`` also skips what its fast path certifies.  Each walk
-decides through ``_unsolvable``: the opening without steps, then its own
-memo per (t, n), so a search of the walk skips what an earlier one proved
-unsolvable (until the memo reaches ``MEMO_CAP`` and is cleared).
+decides through one ``_walk_decision`` per (t, n): the opening without
+steps, then the decision's own memo, so a search of the walk skips what an
+earlier one proved unsolvable (until the memo reaches ``MEMO_CAP`` and is
+cleared).
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ from .graphs import Graph
 
 Step = tuple[int, int]
 
-# The size at which a walk's memo of failed configurations is cleared
-# before its next search (``_unsolvable``).  The largest walks measured stay
-# below it: the C10 size-32 scan peaks at 57,122 and the Q4 size-16 scan at
-# 45,624.
+# The size at which a walk decision's memo of failed configurations is
+# cleared before its next search (``_walk_decision``).  The largest walks
+# measured stay below it: the C10 size-32 scan peaks at 57,122 and the Q4
+# size-16 scan at 45,624.
 MEMO_CAP = 1 << 16
 
 
@@ -229,8 +230,8 @@ def _search(rec: _Target, c: Config, t: int, n: int, failed: set[Config]) -> Sol
     left undecided.  ``failed`` holds configurations known not n-fold
     t-solvable, and every configuration whose subtree fails joins it, c
     included.  Skipping a member removes no witness and changes no step
-    order, so a set shared by the searches of one walk toward the same
-    (graph, t, n) gives the same answers and witnesses as a fresh one."""
+    order, so the memo that a ``_walk_decision`` shares among its searches
+    toward one (graph, t, n) gives the same answers and witnesses."""
     edges = rec.edges
     bound = n * rec.scale
     # Depth-first over steps in edge order with an explicit stack of
@@ -265,21 +266,25 @@ def _search(rec: _Target, c: Config, t: int, n: int, failed: set[Config]) -> Sol
     return SolveResult(False)
 
 
-def _unsolvable(g: Graph, c: Config, t: int, n: int, failed: set[Config]) -> bool:
-    """Exact decision without a witness, for the walks, whose instances are
-    already checked: ``_opening`` without steps, then ``failed``, the
-    walk's memo toward (g, t, n), then the search only when none of them
-    gives the answer.  The memo is cleared before a search once it holds
-    ``MEMO_CAP`` configurations."""
+def _walk_decision(g: Graph, t: int, n: int):
+    """The decision of one exhaustive walk toward (g, t, n) on checked
+    instances, True when c is not n-fold t-solvable: ``_opening`` without
+    steps, then its own memo of failed configurations (cleared before a
+    search once it holds ``MEMO_CAP``), then ``_search``."""
     rec = _target(g, t)
-    opening = _opening(rec, list(c), t, n, None)
-    if opening is not None:
-        return not opening
-    if c in failed:
-        return True
-    if len(failed) >= MEMO_CAP:
-        failed.clear()
-    return not _search(rec, c, t, n, failed)
+    failed: set[Config] = set()
+
+    def unsolvable(c: Config) -> bool:
+        opening = _opening(rec, list(c), t, n, None)
+        if opening is not None:
+            return not opening
+        if c in failed:
+            return True
+        if len(failed) >= MEMO_CAP:
+            failed.clear()
+        return not _search(rec, c, t, n, failed)
+
+    return unsolvable
 
 
 @dataclass(frozen=True)
@@ -291,19 +296,12 @@ class PebblingNumber:
 def _singleton_witness(g: Graph, t: int, n: int, p: int) -> Config | None:
     """Unsolvable size-p configuration from singletons off t plus up to
     n-1 pebbles on t; exists whenever p <= #V + n - 2."""
-    others = g.vertex_count - 1
     on_t = min(n - 1, p)
-    rest = p - on_t
-    if rest > others:
+    others = [v for v in range(g.vertex_count) if v != t]
+    if p - on_t > len(others):
         return None
-    counts = [0] * g.vertex_count
-    counts[t] = on_t
-    placed = 0
-    for v in range(g.vertex_count):
-        if v != t and placed < rest:
-            counts[v] = 1
-            placed += 1
-    return tuple(counts)
+    ones = set(others[: p - on_t])
+    return tuple(on_t if v == t else int(v in ones) for v in range(g.vertex_count))
 
 
 def _structured_witness(g: Graph, t: int, n: int, p: int) -> Config | None:
@@ -311,22 +309,18 @@ def _structured_witness(g: Graph, t: int, n: int, p: int) -> Config | None:
     configurations with support at most two, each whole stack first, then
     each split of p over a pair of vertices."""
     nv = g.vertex_count
-    failed: set[Config] = set()
+    unsolvable = _walk_decision(g, t, n)
     for v in range(nv):
-        counts = [0] * nv
-        counts[v] = p
-        c = tuple(counts)
-        if _unsolvable(g, c, t, n, failed):
+        c = (0,) * v + (p,) + (0,) * (nv - 1 - v)
+        if unsolvable(c):
             return c
-    for v in range(nv):
-        for u in range(v + 1, nv):
-            for a in range(1, p):
-                counts = [0] * nv
-                counts[v] = a
-                counts[u] = p - a
-                c = tuple(counts)
-                if _unsolvable(g, c, t, n, failed):
-                    return c
+    for v, u in itertools.combinations(range(nv), 2):
+        for a in range(1, p):
+            counts = [0] * nv
+            counts[v], counts[u] = a, p - a
+            c = tuple(counts)
+            if unsolvable(c):
+                return c
     return None
 
 
@@ -334,11 +328,8 @@ def _scan_stride(g: Graph, t: int, n: int, p: int, jobs: int, start: int) -> Con
     """First unsolvable one of t's box walk at places start, start + jobs, ..."""
     # A vertex that cannot reach t delivers nothing within size p: cost p + 1.
     cost = tuple(p + 1 if cv is None else cv for cv in _target(g, t).cost)
-    failed: set[Config] = set()
-    for c in itertools.islice(bounded_configs(p, cost, n - 1), start, None, jobs):
-        if _unsolvable(g, c, t, n, failed):
-            return c
-    return None
+    walk = itertools.islice(bounded_configs(p, cost, n - 1), start, None, jobs)
+    return next(filter(_walk_decision(g, t, n), walk), None)
 
 
 def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config | None:
@@ -355,10 +346,7 @@ def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config |
     configs.check_int(jobs, 1, "jobs")
     if n == 0:
         return None
-    w = _singleton_witness(g, t, n, p)
-    if w is not None:
-        return w
-    w = _structured_witness(g, t, n, p)
+    w = _singleton_witness(g, t, n, p) or _structured_witness(g, t, n, p)
     if w is not None:
         return w
     scan = functools.partial(_scan_stride, g, t, n, p, jobs)
@@ -427,7 +415,7 @@ def has_2pp(g: Graph, pi: int, variant: str = "support"):
     nv = g.vertex_count
     for t in range(nv):
         check_reachable(g, t)
-    failed: list[set[Config]] = [set() for _ in range(nv)]
+    walks = [_walk_decision(g, t, 2) for t in range(nv)]
     for s in range(max(2 * pi - nv + 1, 0), 2 * pi + 2):
         q = 2 * pi + 1 - s
         if variant == "support":
@@ -442,17 +430,17 @@ def has_2pp(g: Graph, pi: int, variant: str = "support"):
         for c, t in heapq.merge(*boxes):
             if variant == "odd" and sum(x % 2 for x in c) < q:
                 continue
-            if _unsolvable(g, c, t, 2, failed[t]):
+            if walks[t](c):
                 return False, (c, t)
     return True, None
 
 
 def _tau_subconfig_exists(
-    g: Graph, c: Config, t: int, n: int, k: int, m: int, s: int, q: int, failed: set[Config]
+    g: Graph, c: Config, t: int, n: int, k: int, m: int, s: int, q: int, unsolvable
 ) -> bool:
     """Is there c* within c, n-fold t-solvable, with r_k(c - c*) >= m?
-    s and q are the size and support count of c, and ``failed`` is the
-    walk's memo toward (g, t, n).
+    s and q are the size and support count of c, and ``unsolvable`` is the
+    walk's ``_walk_decision`` toward (g, t, n).
 
     An O(V) fast path first tries c* made of n*cost(v) pebbles on one
     vertex (with or without the target's own); ``verify_tau`` does not
@@ -480,12 +468,12 @@ def _tau_subconfig_exists(
     # max(j, m + (k - 1)(j - 1)) that keeps r_k(r) = |r| - (k - 1)(j - 1)
     # >= m, and that one works too.  The empty residual counts k - 1, as
     # ``configs.reduced_size`` reads it.
-    if k - 1 >= m and not _unsolvable(g, c, t, n, failed):
+    if k - 1 >= m and not unsolvable(c):
         return True
     room = tuple(x + 1 for x in c)  # 1 <= r(v) <= c(v) on r's support
     for j in range(1, q + 1):
         for r in bounded_configs(max(j, m + (k - 1) * (j - 1)), room, 0, j, j):
-            if not _unsolvable(g, tuple(a - b for a, b in zip(c, r)), t, n, failed):
+            if not unsolvable(tuple(a - b for a, b in zip(c, r))):
                 return True
     return False
 
@@ -512,7 +500,7 @@ def verify_tau(g: Graph, t: int, n: int, k: int, p: int, m_max: int) -> bool:
     configs.check_int(m_max, 0, "m_max")
     nv = g.vertex_count
     ones = (1,) * (nv - 1)
-    failed: set[Config] = set()
+    unsolvable = _walk_decision(g, t, n)
     for s in range(max(p + 1 - nv, 0), p + 2 + m_max):
         q_lo, q_hi = p + 1 - s, p + 1 + m_max - s
         for ct in range(s + 1):
@@ -524,7 +512,7 @@ def verify_tau(g: Graph, t: int, n: int, k: int, p: int, m_max: int) -> bool:
             for others in bounded_configs(rest, ones, rest, max(lo - held, 0), q_hi - held):
                 c = others[:t] + (ct,) + others[t:]
                 q = nv - c.count(0)
-                if not _tau_subconfig_exists(g, c, t, n, k, s + q - p - 1, s, q, failed):
+                if not _tau_subconfig_exists(g, c, t, n, k, s + q - p - 1, s, q, unsolvable):
                     return False
     return True
 
@@ -533,8 +521,8 @@ def optimal_pebbling_number(g: Graph):
     """Smallest configuration size solvable for every target, with one
     such configuration as witness.  The sizes stop at #V: one pebble on
     every vertex solves every target."""
-    failed: list[set[Config]] = [set() for _ in range(g.vertex_count)]
+    walks = [_walk_decision(g, t, 1) for t in range(g.vertex_count)]
     for s in range(g.vertex_count + 1):
         for c in enumerate_configs(g.vertex_count, s):
-            if not any(_unsolvable(g, c, t, 1, memo) for t, memo in enumerate(failed)):
+            if not any(unsolvable(c) for unsolvable in walks):
                 return s, c

@@ -63,8 +63,8 @@ def pebbling_construction(
     once, as it is placed (with ``well_placed``, when given): the start
     payloads are distinct singletons, a merged set lies inside what its
     step popped, and no step touches any other payload, so the sets stay
-    non-empty and disjoint.  The starts are checked here, the rest in
-    ``_replay``.
+    non-empty and disjoint.  The starts and the combiner's results are
+    checked here, the rest in ``_replay``.
     """
     nv = g.vertex_count
     check_vertices(nv, (t,), "target")
@@ -77,13 +77,21 @@ def pebbling_construction(
         placed = len(list(takewhile(bool, map(well_placed, starts, singles))))
         if placed < len(starts):
             raise _misplaced(starts[placed], singles[placed])
-    return _replay(g, t, starts, singles, combiner, steps, well_placed)
+
+    def checked(u, v, popped):
+        merged = frozenset(combiner(u, v, popped))
+        if not merged or not merged <= frozenset().union(*popped):
+            raise PebblingError("combiner must return a non-empty subset of the popped union")
+        return merged
+
+    return _replay(g, t, starts, singles, checked, steps, well_placed)
 
 
 def _replay(g, t, starts, singles, combiner, steps, well_placed) -> IndexSet:
-    """Place the checked start payloads, run ``steps`` (checking each
-    merged payload) and return the front payload at t.  A queue is a list
-    read from a head index, so a step takes its k payloads as one slice."""
+    """Place the checked start payloads, run ``steps`` and return the front
+    payload at t.  ``combiner`` returns a non-empty frozenset inside what
+    its step popped, and ``well_placed`` checks where it lands.  A queue is
+    a list read from a head index, so a step takes its payloads as a slice."""
     queues: list[list[IndexSet]] = [[] for _ in range(g.vertex_count)]
     for v, s in zip(starts, singles):
         queues[v].append(s)
@@ -97,11 +105,7 @@ def _replay(g, t, starts, singles, combiner, steps, well_placed) -> IndexSet:
                 f"step ({u},{v}) needs {w} pebbles, vertex has {len(popped)}"
             )
         heads[u] = head + w
-        merged = frozenset(combiner(u, v, popped))
-        if not merged or not merged <= frozenset().union(*popped):
-            raise PebblingError(
-                "combiner must return a non-empty subset of the popped union"
-            )
+        merged = combiner(u, v, popped)
         if well_placed is not None and not well_placed(v, merged):
             raise _misplaced(v, merged)
         queues[v].append(merged)

@@ -405,6 +405,14 @@ def test_integer_that_is_not_an_int_or_too_small_raises_pebbling_error(
         (lambda: make_family("cycle:2:2"), "size must be an int >= 3, got 2"),
         (lambda: make_family("path:1:1"), "weight must be an int >= 2, got 1"),
         (lambda: make_family("grid:2:2:0:2"), "size must be an int >= 1, got 0"),
+        # a vertex count past an index-sized integer ended in an OverflowError
+        (lambda: config_from_pairs(10**20, [(0, 1)]), f"vertex count {10**20} is too large"),
+        (lambda: list(enumerate_configs(10**20, 1)), f"vertex count {10**20} is too large"),
+        (lambda: list(enumerate_configs_with_support(10**20, 1, 1)),
+         f"vertex count {10**20} is too large"),
+        # the zero-sum entry points that take a sequence check its length
+        (lambda: gcd_zero_sum(3, [1, 2]), "need exactly 3 entries, got 2"),
+        (lambda: erdos_lemke(4, 2, [1]), "need exactly 2 entries, got 1"),
     ],
 )
 def test_answers_and_tracebacks_from_bad_integers_are_pebbling_errors(call, message):

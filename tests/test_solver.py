@@ -29,6 +29,7 @@ from pebbling.solver import (
     _pre_search,
     _scan_stride,
     _tau_subconfig_exists,
+    _walk_decision,
     apply_step,
     find_unsolvable,
     has_2pp,
@@ -228,19 +229,20 @@ def test_verify_tau_matches_brute_force():
     assert ns == {0, 1, 2, 3}
 
 
-def test_tau_subconfig_matches_every_subconfiguration(monkeypatch):
+def test_tau_subconfig_matches_every_subconfiguration():
     # The fast path's O(1) residual sizes and the fallback's minimal
-    # residuals against trying every c* <= c.  The fallback is the only
-    # caller of _unsolvable there, so counting its calls tells which draws
-    # get past the fast path.
+    # residuals against trying every c* <= c.  Only the fallback calls the
+    # walk decision there, so counting its calls tells which draws get past
+    # the fast path.
     decisions = []
-    unsolvable = solver._unsolvable
 
-    def counted(*args):
-        decisions.append(args)
-        return unsolvable(*args)
+    def counted(unsolvable):
+        def decide(c):
+            decisions.append(c)
+            return unsolvable(c)
 
-    monkeypatch.setattr(solver, "_unsolvable", counted)
+        return decide
+
     rng = random.Random(5)
     families = (
         "path:2:2",
@@ -276,7 +278,8 @@ def test_tau_subconfig_matches_every_subconfiguration(monkeypatch):
         )
         q = sum(1 for x in c if x)
         decisions.clear()
-        answer = _tau_subconfig_exists(g, c, t, n, k, m, sum(c), q, set())
+        unsolvable = counted(_walk_decision(g, t, n))
+        answer = _tau_subconfig_exists(g, c, t, n, k, m, sum(c), q, unsolvable)
         assert answer == expected, (family, c, t, n, k, m)
         answers.append(answer)
         if decisions:
@@ -482,17 +485,36 @@ def _memo_walks(seed):
             yield g, t, n, walk
 
 
+def _memos_searched(monkeypatch):
+    """Record (n, memo) for each ``_search`` call, in order."""
+    memos = []
+    search = solver._search
+
+    def spy(rec, c, t, n, failed):
+        memos.append((n, failed))
+        return search(rec, c, t, n, failed)
+
+    monkeypatch.setattr(solver, "_search", spy)
+    return memos
+
+
 def _walk_with_one_memo(g, t, n, walk):
-    """Decide a walk with one shared memo against fresh searches; returns
-    how many decisions the memo held up front and how often it shrank."""
-    failed = set()
-    known = cleared = 0
-    for c in walk:
-        known += c in failed
-        before = len(failed)
-        assert solver._unsolvable(g, c, t, n, failed) == (not is_solvable(g, c, t, n)), (g, c, t, n)
-        cleared += len(failed) < before
-    for c in failed:
+    """Decide a walk with one walk decision against fresh searches; returns
+    how many decisions its memo held up front and how often it shrank.  The
+    memo is the one set the decision hands to every search."""
+    fresh = [not is_solvable(g, c, t, n) for c in walk]
+    with pytest.MonkeyPatch.context() as mp:
+        memos = _memos_searched(mp)
+        unsolvable = _walk_decision(g, t, n)
+        known = cleared = 0
+        for c, expected in zip(walk, fresh):
+            memo = memos[-1][1] if memos else set()
+            known += c in memo
+            before = len(memo)
+            assert unsolvable(c) == expected, (g, c, t, n)
+            cleared += len(memo) < before
+    assert all(memo is memos[0][1] for _, memo in memos)
+    for c in memos[0][1] if memos else ():
         assert solve_via_flow(g, c, t, n) is None, (g, c, t, n)
     return known, cleared
 
@@ -509,6 +531,31 @@ def test_one_memo_per_walk_gives_the_fresh_answers(monkeypatch):
     runs = [_walk_with_one_memo(*walk) for walk in _memo_walks(8)]
     assert sum(known for known, _ in runs) > 0
     assert sum(cleared for _, cleared in runs) > 0
+
+
+def test_walks_toward_two_n_keep_separate_memos():
+    # Walk decisions toward (t, 2) and (t, 1) on the Petersen graph decide
+    # its size-6 configurations in turn.  The (t, 2) memo comes to hold
+    # 1-solvable configurations, and one memo shared by both would answer
+    # 54 of them unsolvable toward (t, 1); each decision keeps its own and
+    # gives is_solvable's answers.
+    g, t = make_family("petersen"), 0
+    walk = list(enumerate_configs(g.vertex_count, 6))
+    fresh = {n: [not is_solvable(g, c, t, n) for c in walk] for n in (2, 1)}
+    with pytest.MonkeyPatch.context() as mp:
+        memos = _memos_searched(mp)
+        walks = {n: _walk_decision(g, t, n) for n in (2, 1)}
+        answers = {n: [] for n in walks}
+        for c in walk:
+            for n, unsolvable in walks.items():
+                answers[n].append(unsolvable(c))
+    assert answers == fresh
+    memo = {n: failed for n, failed in memos}
+    assert set(memo) == {1, 2} and memo[1] is not memo[2]
+    assert all(failed is memo[n] for n, failed in memos)
+    assert any(is_solvable(g, c, t, 1) for c in memo[2])
+    assert not any(is_solvable(g, c, t, 2) for c in memo[2])
+    assert not any(is_solvable(g, c, t, 1) for c in memo[1])
 
 
 def test_2pp_matches_every_pair_loop():

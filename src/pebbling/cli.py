@@ -228,15 +228,17 @@ def _cmd_emit_smv(args, g: Graph) -> None:
         model = smv.emit_pebbling_model(g, args.pebbles)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(model.text)
+            fh.write(model)
     else:
-        sys.stdout.write(model.text)
+        sys.stdout.write(model)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pebble", description=__doc__)
     parser.add_argument("--json", action="store_true", help="JSON output")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="pi scan strides, at most one process per CPU"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def cmd(name, fn, graph=True, config=False):
@@ -332,6 +334,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"argument --jobs: need at least 1, got {args.jobs}")
+    # Exact answers print in full, past Python's 4300-digit str(int) limit;
+    # the caller's limit comes back when main returns.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         # The graph and, for solve and flow, the configuration, loaded once.
         inputs = []
@@ -343,6 +349,8 @@ def main(argv=None) -> int:
     except (PebblingError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(digits)
     return 0
 
 

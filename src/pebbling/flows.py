@@ -49,6 +49,8 @@ class PebbleFlow:
         check_config(self.config, self.graph.vertex_count)
         # kept as a tuple, so a list and a tuple give equal flows
         object.__setattr__(self, "config", tuple(self.config))
+        # a copy, so no later change to the caller's map escapes the checks
+        object.__setattr__(self, "flow", dict(self.flow))
         for (u, v), count in self.flow.items():
             self.graph.weight(u, v)
             check_int(count, 0, "flow count")

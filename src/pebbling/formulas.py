@@ -6,7 +6,6 @@ suite; the functions here only evaluate the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .configs import check_int, check_vertices
@@ -47,19 +46,10 @@ def _tree_children(g: Graph, r: int) -> tuple[dict[int, list[int]], list[int]]:
     return children, queue
 
 
-@dataclass(frozen=True)
-class PathPartition:
-    root: int
-    paths: tuple[tuple[int, ...], ...]
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.paths)
-
-
-def max_path_partition(g: Graph, r: int) -> PathPartition:
-    """Maximum path-partition of a tree rooted at r: directed paths toward
-    the root covering every non-root vertex, with lexicographically
-    maximal size sequence.
+def max_path_partition(g: Graph, r: int) -> tuple[tuple[int, ...], ...]:
+    """Maximum path-partition of a tree rooted at r: a tuple of directed
+    paths toward the root, longest first, covering every non-root vertex,
+    with lexicographically maximal size sequence.
 
     Built bottom-up, children before parents (reverse BFS order): each
     child's maximum partition gets the child appended to its longest path,
@@ -81,7 +71,7 @@ def max_path_partition(g: Graph, r: int) -> PathPartition:
             merged.extend(sub)
         merged.sort(key=lambda p: (-len(p), p))
         parts[v] = merged
-    return PathPartition(r, tuple(tuple(p) for p in parts[r]))
+    return tuple(tuple(p) for p in parts[r])
 
 
 def pi_tree(g: Graph, r: int, k: int = 2, n: int = 1) -> int:
@@ -90,7 +80,7 @@ def pi_tree(g: Graph, r: int, k: int = 2, n: int = 1) -> int:
     sizes s1 >= s2 >= ... >= sm."""
     check_int(k, 2, "k")
     check_int(n, 1, "n")
-    sizes = max_path_partition(g, r).sizes()
+    sizes = [len(p) for p in max_path_partition(g, r)]
     if not sizes:
         return n  # single-vertex tree
     total = n * k ** sizes[0]
@@ -149,11 +139,11 @@ def diameter2_bound(g: Graph) -> int:
     return g.vertex_count + 1
 
 
-def classify_diameter2(g: Graph, jobs: int = 1) -> tuple[int, int, str]:
+def classify_diameter2(g: Graph) -> tuple[int, int, str]:
     """(bound, brute-forced pi, class): Class-0 when pi equals the vertex
     count, Class-1 when it hits the bound #V + 1."""
     bound = diameter2_bound(g)
-    actual = pebbling_number_graph(g, jobs=jobs)
+    actual = pebbling_number_graph(g)
     label = "Class-0" if actual == g.vertex_count else "Class-1"
     return bound, actual, label
 

@@ -9,20 +9,13 @@ user.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .configs import check_int
 from .graphs import Graph
 
 # Vertices are rendered 1-based as c[1]..c[n].
 
 
-@dataclass(frozen=True)
-class SmvModel:
-    text: str
-
-
-def _model(g: Graph, header: list[str], least: int) -> SmvModel:
+def _model(g: Graph, header: list[str], least: int) -> str:
     """The layout both models share: MODULE main, the header lines, one
     TRANS disjunct per edge plus stuttering, and SPEC EF c[i] > least for
     every vertex."""
@@ -41,10 +34,10 @@ def _model(g: Graph, header: list[str], least: int) -> SmvModel:
     stutter = " & ".join(f"next(c[{i + 1}])=c[{i + 1}]" for i in range(n))
     lines += ["  ( " + stutter + " )", ""]
     lines += [f"SPEC EF c[{i + 1}] > {least}" for i in range(n)]
-    return SmvModel("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def emit_pebbling_model(g: Graph, total_pebbles: int) -> SmvModel:
+def emit_pebbling_model(g: Graph, total_pebbles: int) -> str:
     """Model checking that from every configuration of the given size one
     pebble can reach each vertex (SPEC EF c[i] > 0)."""
     check_int(total_pebbles, 0, "pebble count")
@@ -58,7 +51,7 @@ def emit_pebbling_model(g: Graph, total_pebbles: int) -> SmvModel:
     return _model(g, header, 0)
 
 
-def emit_2pp_model(g: Graph, pi: int) -> SmvModel:
+def emit_2pp_model(g: Graph, pi: int) -> str:
     """Model checking the 2-pebbling property: initial configurations have
     2*pi + 1 - (occupied vertex count) pebbles, and every vertex should be
     able to receive two (SPEC EF c[i] > 1)."""

@@ -45,6 +45,7 @@ import heapq
 import itertools
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 from . import configs
@@ -337,9 +338,10 @@ def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config |
 
     After the singleton and structured shapes, the scan walks t's box
     sum(c(v) // cost(v)) < n, outside which independent delivery solves c.
-    Worker i of ``jobs`` decides the walk's configurations i, i + jobs, ...
-    The walk is lexicographic, so the least of the workers' first hits is
-    the smallest unsolvable one, whatever the worker count.
+    Stride i of ``jobs`` decides the walk's configurations i, i + jobs, ...,
+    with at most one worker process per CPU running the strides.  The walk
+    is lexicographic, so the least of the strides' first hits is the
+    smallest unsolvable one, whatever the stride count.
     """
     _check_instance(g, None, t, n)
     configs.check_int(p, 0, "size p")
@@ -354,7 +356,7 @@ def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config |
         return scan(0)
     from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
         hits = pool.map(scan, range(jobs))
         return min((hit for hit in hits if hit is not None), default=None)
 

@@ -178,6 +178,11 @@ class LinearProgram:
     constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
 
     def __post_init__(self):
+        # kept as tuples, read once: no later change to the caller's lists
+        # escapes the checks, and a generator of rows is not used up by them
+        object.__setattr__(self, "objective", tuple(self.objective))
+        rows = tuple((tuple(row), bound) for row, bound in self.constraints)
+        object.__setattr__(self, "constraints", rows)
         _require_exact(self.objective)
         for row, bound in self.constraints:
             if len(row) != len(self.objective):

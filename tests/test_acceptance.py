@@ -267,6 +267,6 @@ def test_17_config_count_matches_enumeration():
 def test_18_smv_golden():
     from test_smv import GOLDEN_P3
 
-    first = emit_pebbling_model(path_graph(3), 4).text
+    first = emit_pebbling_model(path_graph(3), 4)
     assert first == GOLDEN_P3
-    assert first == emit_pebbling_model(path_graph(3), 4).text  # deterministic
+    assert first == emit_pebbling_model(path_graph(3), 4)  # deterministic

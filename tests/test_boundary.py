@@ -22,7 +22,6 @@ from pebbling.configs import (
 from pebbling.errors import PebblingError
 from pebbling.flows import PebbleFlow, flow_from_steps, flow_from_text, solve_via_flow
 from pebbling.formulas import (
-    classify_diameter2,
     config_count,
     pi_complete,
     pi_complete_bipartite,
@@ -286,8 +285,6 @@ INT_ENTRIES = [
     ("pi_instar k", "k", 2, 2, lambda x: pi_instar(2, x)),
     ("config_count n", "n", 1, 2, lambda x: config_count(x, 2)),
     ("config_count k", "k", 0, 2, lambda x: config_count(2, x)),
-    ("classify_diameter2 jobs", "jobs", 1, 1,
-     lambda x: classify_diameter2(cycle_graph(5), jobs=x)),
     ("Graph vertex_count", "vertex count", 1, 2, lambda x: Graph(x, ((0, 1, 2),))),
     ("Graph weight", "edge (0,1) weight", 2, 2, lambda x: Graph(2, ((0, 1, x),))),
     ("complete_graph n", "size", 1, 2, complete_graph),

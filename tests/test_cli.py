@@ -3,6 +3,8 @@ import os
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -384,6 +386,26 @@ def test_tree_pi_on_a_long_path(capsys):
     # 1199 levels deep: the partition is built without recursion.
     code, out, _ = run(capsys, "tree-pi", "--family", "path:1200:2", "--root", "0")
     assert code == 0 and int(out) == 2**1199
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, exact",
+    [
+        (["count-configs", "--vertices", "10000", "--pebbles", "10000"], comb(19999, 9999)),
+        (["tree-pi", "--family", "path:1000:2", "--root", "0", "--k", "100000"], 100000**999),
+    ],
+    ids=["count-configs", "tree-pi"],
+)
+def test_answers_past_the_digit_limit_print_in_full(capsys, mode, argv, exact):
+    # Both answers have more than 4300 digits.  Decimal reads them without
+    # Python's str(int) limit, which main leaves as it found it.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *mode, *argv)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    result = json.loads(out, parse_int=Decimal)["result"] if mode else Decimal(out)
+    assert result == exact and len(result.as_tuple().digits) > 4300
 
 
 # Command shapes no other test runs, with their whole stdout and exit code.

@@ -63,6 +63,14 @@ def test_flow_validation():
         PebbleFlow(g, (2, 0, 0), {(0, 1): 1})  # configuration size
 
 
+def test_flow_keeps_its_own_map():
+    # A count put into the caller's map later is not one the checks saw.
+    counts = {(0, 1): 1}
+    f = PebbleFlow(path_graph(2), (2, 0), counts)
+    counts[(0, 1)] = 5
+    assert f.flow == {(0, 1): 1} and f.excess_vector() == (0, 1)
+
+
 def test_flow_from_steps_checks_legality():
     g = path_graph(2)
     with pytest.raises(PebblingError):

@@ -51,17 +51,17 @@ SPEC EF c[3] > 1
 
 
 def test_golden_path3():
-    assert emit_pebbling_model(path_graph(3), 4).text == GOLDEN_P3
+    assert emit_pebbling_model(path_graph(3), 4) == GOLDEN_P3
 
 
 def test_golden_2pp_path3():
-    assert emit_2pp_model(path_graph(3), 3).text == GOLDEN_2PP_P3
+    assert emit_2pp_model(path_graph(3), 3) == GOLDEN_2PP_P3
 
 
 def test_emission_is_deterministic():
     g = cycle_graph(5, 3)
-    assert emit_pebbling_model(g, 9).text == emit_pebbling_model(g, 9).text
-    assert emit_2pp_model(g, 9).text == emit_2pp_model(g, 9).text
+    assert emit_pebbling_model(g, 9) == emit_pebbling_model(g, 9)
+    assert emit_2pp_model(g, 9) == emit_2pp_model(g, 9)
 
 
 def test_emit_validates():
@@ -78,7 +78,7 @@ def test_transition_relation_matches_solver():
     graphs = [path_graph(3), cycle_graph(3), cycle_graph(4, 3)]
     graphs += [random_connected_graph(rng, rng.randint(2, 4)) for _ in range(5)]
     for g in graphs:
-        model = emit_pebbling_model(g, 6).text
+        model = emit_pebbling_model(g, 6)
         for total in range(0, 6):
             for c in enumerate_configs(g.vertex_count, total):
                 reached = model_reachable(model, c)
@@ -92,7 +92,7 @@ def test_2pp_model_agrees_with_direct_check():
     # all initial configurations (size 2*pi + 1 - occupied) reach 2 pebbles
     g = cycle_graph(4)
     pi = pebbling_number(g, 0).value
-    model = emit_2pp_model(g, pi).text
+    model = emit_2pp_model(g, pi)
     ok, _ = has_2pp(g, pi)
     assert ok
     nv = g.vertex_count
@@ -108,7 +108,7 @@ def test_2pp_model_agrees_with_direct_check():
 
 
 def test_2pp_model_header_shape():
-    text = emit_2pp_model(cycle_graph(4), 4).text
+    text = emit_2pp_model(cycle_graph(4), 4)
     assert "DEFINE n := 4; p := 4;" in text
     assert "VAR c : array 1..n of 0..2*p;" in text
     assert "= 2*p + 1 -" in text

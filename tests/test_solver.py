@@ -458,6 +458,33 @@ def test_pebbling_number_independent_of_jobs(family, n):
             assert pebbling_number(g, t, n, jobs=jobs) == serial, (t, jobs)
 
 
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
+def test_jobs_start_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
+    # A serial stand-in for the pool records its size and starts no process;
+    # 64 strides still give the answer and witness of one.
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    g = cycle_graph(7)
+    assert pebbling_number(g, 0, jobs=64) == pebbling_number(g, 0)
+    assert started and set(started) == {workers}
+
+
 def _strong_digraph(rng, nv):
     """A random strongly connected digraph: a directed cycle through all
     vertices plus random extra arcs, each arc of weight 2 or 3."""

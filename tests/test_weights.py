@@ -171,6 +171,20 @@ def test_simplex_degenerate_and_errors():
         LinearProgram((F(1),), (((F(1), F(2)), F(1)),))
 
 
+def test_linear_program_reads_a_generator_of_rows_once():
+    # max x st x <= 5: the checks do not use the rows up before the simplex.
+    lp = LinearProgram((F(1),), ((row, F(5)) for row in [(F(1),)]))
+    assert simplex_max(lp) == (F(5), (F(5),), (F(1),))
+
+
+def test_linear_program_keeps_its_own_tuples():
+    # A float put into the caller's lists later is not one the checks saw.
+    objective, row = [F(1)], [F(1)]
+    lp = LinearProgram(objective, [(row, F(5))])
+    objective[0] = row[0] = 0.5
+    assert simplex_max(lp) == (F(5), (F(5),), (F(1),))
+
+
 def _random_lp(rng):
     """A small random LP whose boundedness is known without solving it.
 

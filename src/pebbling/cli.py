@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from functools import cache
@@ -60,6 +61,19 @@ def _load_steps(path: str):
         return [s for _, s in configs.text_records(fh.read(), "step", {"step": (int, int)})]
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Exact answers print in full, past Python's str(int) digit limit; the
+    caller's limit, which reading a number keeps, comes back afterwards."""
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
+@_all_digits()
 def _emit(args, result, witness=None, steps=None) -> None:
     if args.json:
         payload = {"result": result}
@@ -107,6 +121,7 @@ def _cmd_solve(args, g: Graph, c: configs.Config) -> None:
     )
 
 
+@_all_digits()
 def _cmd_flow(args, g: Graph, c: configs.Config) -> None:
     f = flows.solve_via_flow(g, c, args.target, args.n)
     if f is None:
@@ -132,22 +147,16 @@ def _cmd_flow(args, g: Graph, c: configs.Config) -> None:
 
 def _cmd_witness(args, g: Graph) -> None:
     w = solver.find_unsolvable(g, args.target, 1, args.size, jobs=args.jobs)
-    if w is None:
-        _emit(args, "none")
-    else:
-        _emit(args, "found", witness=w)
+    _emit(args, "none" if w is None else "found", witness=w)
 
 
 def _given_pi(args, g: Graph) -> int:
     """--pi when given (0 and negatives included), else pi(G)."""
-    if args.pi is None:
-        return solver.pebbling_number_graph(g, jobs=args.jobs)
-    return args.pi
+    return solver.pebbling_number_graph(g, jobs=args.jobs) if args.pi is None else args.pi
 
 
 def _cmd_2pp(args, g: Graph) -> None:
-    pi = _given_pi(args, g)
-    holds, ce = solver.has_2pp(g, pi, variant=args.variant)
+    holds, ce = solver.has_2pp(g, _given_pi(args, g), variant=args.variant)
     if holds:
         _emit(args, "holds")
     else:
@@ -201,11 +210,8 @@ def _cmd_count_configs(args) -> None:
 
 def _cmd_zerosum(args) -> None:
     seq = _parse_seq(args.seq)
-    if args.divisors:
-        out = zerosum.divisor_zero_sum(args.n, seq)
-    else:
-        out = zerosum.gcd_zero_sum(args.n, seq)
-    _emit_subset(args, seq, out)
+    find = zerosum.divisor_zero_sum if args.divisors else zerosum.gcd_zero_sum
+    _emit_subset(args, seq, find(args.n, seq))
 
 
 def _cmd_erdos_lemke(args) -> None:
@@ -213,6 +219,7 @@ def _cmd_erdos_lemke(args) -> None:
     _emit_subset(args, seq, zerosum.erdos_lemke(args.n, args.d, seq))
 
 
+@_all_digits()
 def _emit_subset(args, seq: list[int], out) -> None:
     chosen = sorted(out)
     total = sum(seq[i - 1] for i in chosen)
@@ -236,9 +243,7 @@ def _cmd_emit_smv(args, g: Graph) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pebble", description=__doc__)
     parser.add_argument("--json", action="store_true", help="JSON output")
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="pi scan strides, at most one process per CPU"
-    )
+    parser.add_argument("--jobs", type=int, default=1, help="pi scan processes, at most the CPUs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def cmd(name, fn, graph=True, config=False):
@@ -308,9 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("zerosum", _cmd_zerosum, graph=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seq", required=True, help="comma-separated integers")
-    p.add_argument(
-        "--divisors", action="store_true", help="exact divisor-sum variant"
-    )
+    p.add_argument("--divisors", action="store_true", help="exact divisor-sum variant")
 
     p = cmd("erdos-lemke", _cmd_erdos_lemke, graph=False)
     p.add_argument("--n", type=int, required=True)
@@ -334,10 +337,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"argument --jobs: need at least 1, got {args.jobs}")
-    # Exact answers print in full, past Python's 4300-digit str(int) limit;
-    # the caller's limit comes back when main returns.
-    digits = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
         # The graph and, for solve and flow, the configuration, loaded once.
         inputs = []
@@ -349,8 +348,6 @@ def main(argv=None) -> int:
     except (PebblingError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        sys.set_int_max_str_digits(digits)
     return 0
 
 

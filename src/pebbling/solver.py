@@ -338,10 +338,11 @@ def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config |
 
     After the singleton and structured shapes, the scan walks t's box
     sum(c(v) // cost(v)) < n, outside which independent delivery solves c.
-    Stride i of ``jobs`` decides the walk's configurations i, i + jobs, ...,
-    with at most one worker process per CPU running the strides.  The walk
-    is lexicographic, so the least of the strides' first hits is the
-    smallest unsolvable one, whatever the stride count.
+    The scan runs k = min(jobs, usable CPUs) workers, worker i deciding the
+    walk's configurations i, i + k, ...; each walks the whole box, so more
+    workers than CPUs would only add work.  The walk is lexicographic, so
+    the least of the workers' first hits is the smallest unsolvable one,
+    whatever the worker count.
     """
     _check_instance(g, None, t, n)
     configs.check_int(p, 0, "size p")
@@ -351,12 +352,14 @@ def find_unsolvable(g: Graph, t: int, n: int, p: int, jobs: int = 1) -> Config |
     w = _singleton_witness(g, t, n, p) or _structured_witness(g, t, n, p)
     if w is not None:
         return w
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(jobs, cpus or 1)
     scan = functools.partial(_scan_stride, g, t, n, p, jobs)
     if jobs == 1:
         return scan(0)
     from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
-    with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         hits = pool.map(scan, range(jobs))
         return min((hit for hit in hits if hit is not None), default=None)
 

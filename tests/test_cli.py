@@ -408,6 +408,26 @@ def test_answers_past_the_digit_limit_print_in_full(capsys, mode, argv, exact):
     assert result == exact and len(result.as_tuple().digits) > 4300
 
 
+BIG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", *P3, "--place", f"0:{BIG}", "--target", "2"], "not vertex:count"),
+        (["zerosum", "--n", "3", "--seq", f"1,{BIG},1"], "malformed integer sequence"),
+        (["erdos-lemke", "--n", "6", "--d", "3", "--seq", f"{BIG},3"], "malformed integer"),
+    ],
+    ids=["place", "zerosum", "erdos-lemke"],
+)
+def test_inputs_past_the_digit_limit_stay_refused(capsys, argv, message):
+    # Only printing lifts the limit, so reading a number keeps the caller's.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith("error:") and message in line
+
+
 # Command shapes no other test runs, with their whole stdout and exit code.
 GOLDEN = [
     (["pi-all", "--family", "cycle:5:2"], 0, "5\n"),

@@ -458,10 +458,14 @@ def test_pebbling_number_independent_of_jobs(family, n):
             assert pebbling_number(g, t, n, jobs=jobs) == serial, (t, jobs)
 
 
-@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
-def test_jobs_start_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
+@pytest.mark.parametrize(
+    "affinity, count, workers",
+    [({0, 1}, 4, [2]), ({0}, 4, []), (None, 3, [3]), (None, None, [])],
+    ids=["two-usable", "one-usable", "three-counted", "none-counted"],
+)
+def test_jobs_start_at_most_one_worker_per_cpu(monkeypatch, affinity, count, workers):
     # A serial stand-in for the pool records its size and starts no process;
-    # 64 strides still give the answer and witness of one.
+    # at one CPU no pool is built.  64 jobs give the answer and witness of 1.
     import concurrent.futures
 
     started = []
@@ -479,10 +483,15 @@ def test_jobs_start_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
         map = staticmethod(map)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
     g = cycle_graph(7)
-    assert pebbling_number(g, 0, jobs=64) == pebbling_number(g, 0)
-    assert started and set(started) == {workers}
+    serial = pebbling_number(g, 0)
+    assert pebbling_number(g, 0, jobs=64) == serial
+    assert set(started) == set(workers)
 
 
 def _strong_digraph(rng, nv):

@@ -15,7 +15,9 @@ import json
 import sys
 from functools import cache
 
-from . import configs, flows, formulas, smv, solver, weights, zerosum
+# The dispatcher needs only these; each handler imports the module it calls
+# and calls through it, so a name replaced in that module is what runs.
+from . import configs
 from .errors import PebblingError
 from .graphs import Graph, graph_from_text, make_family
 
@@ -99,15 +101,18 @@ def _parse_seq(text: str) -> list[int]:
 
 
 def _cmd_pi(args, g: Graph) -> None:
+    from . import solver
     out = solver.pebbling_number(g, args.target, args.n, jobs=args.jobs)
     _emit(args, out.value, witness=out.witness_unsolvable)
 
 
 def _cmd_pi_all(args, g: Graph) -> None:
+    from . import solver
     _emit(args, solver.pebbling_number_graph(g, jobs=args.jobs))
 
 
 def _cmd_solve(args, g: Graph, c: configs.Config) -> None:
+    from . import solver
     if args.replay:
         final = solver.replay(g, c, _load_steps(args.replay))
         _emit(args, "replayed", witness=final)
@@ -123,6 +128,7 @@ def _cmd_solve(args, g: Graph, c: configs.Config) -> None:
 
 @_all_digits()
 def _cmd_flow(args, g: Graph, c: configs.Config) -> None:
+    from . import flows
     f = flows.solve_via_flow(g, c, args.target, args.n)
     if f is None:
         _emit(args, "infeasible")
@@ -146,16 +152,19 @@ def _cmd_flow(args, g: Graph, c: configs.Config) -> None:
 
 
 def _cmd_witness(args, g: Graph) -> None:
+    from . import solver
     w = solver.find_unsolvable(g, args.target, 1, args.size, jobs=args.jobs)
     _emit(args, "none" if w is None else "found", witness=w)
 
 
 def _given_pi(args, g: Graph) -> int:
     """--pi when given (0 and negatives included), else pi(G)."""
+    from . import solver
     return solver.pebbling_number_graph(g, jobs=args.jobs) if args.pi is None else args.pi
 
 
 def _cmd_2pp(args, g: Graph) -> None:
+    from . import solver
     holds, ce = solver.has_2pp(g, _given_pi(args, g), variant=args.variant)
     if holds:
         _emit(args, "holds")
@@ -165,20 +174,24 @@ def _cmd_2pp(args, g: Graph) -> None:
 
 
 def _cmd_tau(args, g: Graph) -> None:
+    from . import solver
     ok = solver.verify_tau(g, args.target, args.n, args.k, args.p, args.m_max)
     _emit(args, "certified" if ok else "refuted")
 
 
 def _cmd_optimal_pi(args, g: Graph) -> None:
+    from . import solver
     size, c = solver.optimal_pebbling_number(g)
     _emit(args, size, witness=c)
 
 
 def _cmd_tree_pi(args, g: Graph) -> None:
+    from . import formulas
     _emit(args, formulas.pi_tree(g, args.root, args.k, args.n))
 
 
 def _load_wfs(args, g: Graph):
+    from . import weights
     ws = []
     for path in args.wf or []:
         with open(path) as fh:
@@ -191,30 +204,36 @@ def _load_wfs(args, g: Graph):
 
 
 def _cmd_wf_validate(args, g: Graph) -> None:
+    from . import weights
     ws = _load_wfs(args, g)
     _emit(args, all(weights.validate_weight_function(g, w) for w in ws))
 
 
 def _cmd_wf_bound(args, g: Graph) -> None:
+    from . import weights
     _emit(args, weights.covering_bound(g, _load_wfs(args, g)))
 
 
 def _cmd_lp_bound(args, g: Graph) -> None:
+    from . import weights
     ws = _load_wfs(args, g)
     _emit(args, weights.lp_bound(g, ws[0].target, ws))
 
 
 def _cmd_count_configs(args) -> None:
+    from . import formulas
     _emit(args, formulas.config_count(args.vertices, args.pebbles))
 
 
 def _cmd_zerosum(args) -> None:
+    from . import zerosum
     seq = _parse_seq(args.seq)
     find = zerosum.divisor_zero_sum if args.divisors else zerosum.gcd_zero_sum
     _emit_subset(args, seq, find(args.n, seq))
 
 
 def _cmd_erdos_lemke(args) -> None:
+    from . import zerosum
     seq = _parse_seq(args.seq)
     _emit_subset(args, seq, zerosum.erdos_lemke(args.n, args.d, seq))
 
@@ -227,6 +246,7 @@ def _emit_subset(args, seq: list[int], out) -> None:
 
 
 def _cmd_emit_smv(args, g: Graph) -> None:
+    from . import smv
     if args.two_pp:
         model = smv.emit_2pp_model(g, _given_pi(args, g))
     else:

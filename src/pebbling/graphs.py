@@ -9,6 +9,7 @@ preimage" representative used by configuration pullback.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -16,6 +17,22 @@ from .configs import check_config, check_int, check_vertices, text_records
 from .errors import PebblingError
 
 Edge = tuple[int, int, int]  # (from, to, weight)
+
+# The largest graph a builder makes, in vertices and in directed edges.
+# Each builder checks its size from its arguments before it lists an edge,
+# so a descriptor such as ``path:100000000000:2`` fails at once instead of
+# building for hours.  Both caps are far above every graph in the tests and
+# on the benchmark ladder (the largest are path_graph(1500) and
+# complete_graph(33)).
+MAX_VERTICES = 10**5
+MAX_EDGES = 10**6
+
+
+def _check_size(vertices: int, edges: int) -> None:
+    if vertices > MAX_VERTICES:
+        raise PebblingError(f"graph would have {vertices} vertices, more than {MAX_VERTICES}")
+    if edges > MAX_EDGES:
+        raise PebblingError(f"graph would have {edges} edges, more than {MAX_EDGES}")
 
 
 @dataclass(frozen=True)
@@ -131,18 +148,21 @@ def _undirected(n: int, pairs, k: int) -> Graph:
 
 def complete_graph(n: int, k: int = 2) -> Graph:
     check_int(n, 1, "size")
+    _check_size(n, n * (n - 1))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return _undirected(n, pairs, k)
 
 
 def cycle_graph(m: int, k: int = 2) -> Graph:
     check_int(m, 3, "size")
+    _check_size(m, 2 * m)
     pairs = [(i, (i + 1) % m) for i in range(m)]
     return _undirected(m, pairs, k)
 
 
 def path_graph(n: int, k: int = 2) -> Graph:
     check_int(n, 1, "size")
+    _check_size(n, 2 * (n - 1))
     pairs = [(i, i + 1) for i in range(n - 1)]
     return _undirected(n, pairs, k)
 
@@ -150,6 +170,7 @@ def path_graph(n: int, k: int = 2) -> Graph:
 def star_graph(leaves: int, k: int = 2) -> Graph:
     """Star with center 0 and the given number of leaves."""
     check_int(leaves, 1, "leaves")
+    _check_size(leaves + 1, 2 * leaves)
     pairs = [(0, i) for i in range(1, leaves + 1)]
     return _undirected(leaves + 1, pairs, k)
 
@@ -158,6 +179,7 @@ def complete_bipartite_graph(m: int, n: int, k: int = 2) -> Graph:
     """Complete bipartite graph; the first part is vertices 0..m-1."""
     check_int(m, 1, "m")
     check_int(n, 1, "n")
+    _check_size(m + n, 2 * m * n)
     pairs = [(a, m + b) for a in range(m) for b in range(n)]
     return _undirected(m + n, pairs, k)
 
@@ -170,6 +192,7 @@ def arrow_graph(k: int) -> Graph:
 def instar_graph(leaves: int, k: int) -> Graph:
     """Inward star: every leaf points at the central sink, vertex 0."""
     check_int(leaves, 1, "leaves")
+    _check_size(leaves + 1, leaves)
     edges = tuple((i, 0, k) for i in range(1, leaves + 1))
     return Graph(leaves + 1, edges)
 
@@ -203,6 +226,8 @@ def divisors(n: int) -> list[int]:
 def divisor_lattice(n: int) -> Graph:
     """Divisors of n, ascending; edge (p, d) for every p | d with weight d/p."""
     check_int(n, 1, "n")
+    if n > MAX_VERTICES:  # it has fewer vertices, but finding them scans 1..n
+        raise PebblingError(f"divisor lattice n = {n} is more than {MAX_VERTICES}")
     divs = divisors(n)
     index = {d: i for i, d in enumerate(divs)}
     edges = []
@@ -216,6 +241,7 @@ def divisor_lattice(n: int) -> Graph:
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian graph product; vertex (a, b) gets id a * |V(H)| + b."""
     n = g.vertex_count * h.vertex_count
+    _check_size(n, len(g.edges) * h.vertex_count + len(h.edges) * g.vertex_count)
     edges = []
     for u, v, w in g.edges:
         for b in range(h.vertex_count):
@@ -238,6 +264,10 @@ def grid_graph(dims: list[tuple[int, int]]) -> Graph:
     """Product of paths P_{n_i}^{(k_i)}, multiplied in the given order."""
     if not dims:
         raise PebblingError("grid needs at least one dimension")
+    sizes = [n for n, _ in dims]
+    if all(type(n) is int and n >= 1 for n in sizes):  # else path_graph names the bad one
+        vertices = math.prod(sizes)
+        _check_size(vertices, sum(2 * (n - 1) * (vertices // n) for n in sizes))
     g = path_graph(*dims[0])
     for n, k in dims[1:]:
         g = cartesian_product(g, path_graph(n, k))

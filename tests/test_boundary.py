@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from pebbling.cli import _load_steps
+from pebbling.cli import _load_steps, main
 from pebbling.configs import (
     config_from_json,
     config_from_pairs,
@@ -32,6 +32,8 @@ from pebbling.formulas import (
     pi_weighted_hypercube,
 )
 from pebbling.graphs import (
+    MAX_EDGES,
+    MAX_VERTICES,
     Graph,
     Homomorphism,
     arrow_divisor_hom,
@@ -51,6 +53,7 @@ from pebbling.graphs import (
     pullback_config,
     pushforward_steps,
     star_graph,
+    _check_size,
     validate_homomorphism,
 )
 from pebbling.smv import emit_2pp_model, emit_pebbling_model
@@ -410,11 +413,35 @@ def test_integer_that_is_not_an_int_or_too_small_raises_pebbling_error(
         # the zero-sum entry points that take a sequence check its length
         (lambda: gcd_zero_sum(3, [1, 2]), "need exactly 3 entries, got 2"),
         (lambda: erdos_lemke(4, 2, [1]), "need exactly 2 entries, got 1"),
+        # a builder checks its size before it lists an edge; the path had
+        # not returned after 5 s, and complete:n builds n * (n - 1) edges
+        (lambda: make_family("path:100000000000:2"),
+         "graph would have 100000000000 vertices, more than 100000"),
+        (lambda: make_family("complete:1001:2"),
+         "graph would have 1001000 edges, more than 1000000"),
+        (lambda: make_family("grid:1000:2:1000:2"),
+         "graph would have 1000000 vertices, more than 100000"),
+        (lambda: make_family("hypercube" + ":2" * 16),
+         "graph would have 1048576 edges, more than 1000000"),
+        (lambda: make_family("path:400:2 x path:400:2"),
+         "graph would have 160000 vertices, more than 100000"),
+        (lambda: divisor_lattice(10**11), f"divisor lattice n = {10**11} is more than 100000"),
     ],
 )
 def test_answers_and_tracebacks_from_bad_integers_are_pebbling_errors(call, message):
     with pytest.raises(PebblingError, match=f"^{re.escape(message)}"):
         call()
+
+
+def test_the_size_caps_admit_a_graph_at_them():
+    _check_size(MAX_VERTICES, MAX_EDGES)  # building one takes seconds
+
+
+def test_a_graph_past_the_caps_exits_1(capsys):
+    assert main(["pi", "--family", "path:100000000000:2", "--target", "0"]) == 1
+    out = capsys.readouterr()
+    message = "graph would have 100000000000 vertices, more than 100000"
+    assert (out.out, out.err) == ("", f"error: {message}\n")
 
 
 def test_zero_sum_mod_takes_any_int():
